@@ -70,20 +70,43 @@ def stratified_kfold(labels: Labels, k: int, seed: int) -> FoldAssignment:
 
 
 def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float):
-    """Multinomial cross-entropy (summed) plus ||W||^2 / (2C); intercepts unpenalized."""
+    """Multinomial cross-entropy (summed) plus ||W||^2 / (2C); intercepts unpenalized.
+
+    Bit-exactness contract: the loss and gradient are bit-for-bit those of the
+    textbook formula (``logits = x @ w.T + b``, shift by the row max,
+    ``exp / exp.sum(axis=1)``, subtract the one-hot labels, ``probs.T @ x + w / c``,
+    ``probs.sum(axis=0)``), so a faster kernel leaves every fitted model and
+    score unchanged. Floating-point sums depend on their order, so these
+    operations keep their exact form and operand layout: the matmuls
+    ``x @ w.T`` and ``probs.T @ x`` (C-ordered ``probs``), the row sum
+    ``exp.sum(axis=1)``, ``np.sum(w * w)`` and every sum over the n rows.
+    Elementwise steps (add, subtract, exp, divide, one-hot subtract) round
+    each element once, whatever the loop order or buffer. The row max is
+    taken on a Fortran-ordered copy, which is fast for a few classes and
+    exact, because a maximum returns one of its inputs unchanged; the only
+    order-dependent case, the sign of a zero maximum, shifts nothing but the
+    sign of a zero logit, and exp maps both zeros to 1.
+    """
     n, dim = x.shape
-    w = theta[: n_classes * dim].reshape(n_classes, dim)
-    b = theta[n_classes * dim :]
-    logits = x @ w.T + b
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    denom = exp.sum(axis=1)
-    loss = float(np.sum(np.log(denom) - logits[np.arange(n), y]) + np.sum(w * w) / (2.0 * c))
-    probs = exp / denom[:, None]
-    probs[np.arange(n), y] -= 1.0
-    grad_w = probs.T @ x + w / c
-    grad_b = probs.sum(axis=0)
-    return loss, np.concatenate([grad_w.ravel(), grad_b])
+    split = n_classes * dim
+    w = theta[:split].reshape(n_classes, dim)
+    logits = x @ w.T
+    logits += theta[split:]
+    logits -= np.asfortranarray(logits).max(axis=1)[:, None]
+    target = np.arange(0, n * n_classes, n_classes)  # flat index of (i, y[i])
+    target += y
+    target_logits = logits.ravel()[target]
+    probs = np.exp(logits, out=logits)
+    denom = probs.sum(axis=1)
+    loss = float(np.sum(np.log(denom) - target_logits) + np.sum(w * w) / (2.0 * c))
+    probs /= denom[:, None]
+    probs.ravel()[target] -= 1.0
+    grad = np.empty_like(theta)
+    grad_w = grad[:split].reshape(n_classes, dim)
+    np.matmul(probs.T, x, out=grad_w)
+    grad_w += w / c
+    np.sum(probs, axis=0, out=grad[split:])
+    return loss, grad
 
 
 def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> ClassifierModel:

@@ -234,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
                 name, kind, mode = futures[fut]
                 try:
                     records.extend(fut.result())
-                except CoreError as exc:
+                except (CoreError, np.linalg.LinAlgError) as exc:
                     errors.append(f"task {name}/{kind}/{mode}: {exc}")
 
     meta = {

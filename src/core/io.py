@@ -161,14 +161,21 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     Relative paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    entries = json.loads(path.read_text())
+    try:
+        entries = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: manifest is not valid JSON ({exc})") from exc
     if not isinstance(entries, list) or not entries:
         raise DatasetError(f"{path}: manifest must be a non-empty JSON array")
     seen = set()
     out = []
-    for e in entries:
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise DatasetError(f"{path}: manifest entry {i} is not a JSON object")
         name = e.get("name", "")
         emb, lab = e.get("embeddings", ""), e.get("labels", "")
+        if not all(isinstance(v, str) for v in (name, emb, lab, e.get("representation", ""))):
+            raise DatasetError(f"{path}: manifest entry {i} has a non-string field")
         if not name or name in seen:
             raise DatasetError(f"{path}: missing or duplicate dataset name {name!r}")
         if not emb or not lab:

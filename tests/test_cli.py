@@ -177,3 +177,15 @@ def test_compress_csv_input_with_header(tmp_path):
     assert main(["compress", "--input", str(tmp_path / "m.csv"), "--format", "csv", "--header",
                  "--spec", str(tmp_path / "spec.json"), "--out", str(out_dir)]) == 0
     assert load_embeddings(out_dir / "step_1.core").shape == (12, 4)
+
+
+@pytest.mark.parametrize(
+    "manifest", ["[1, 2]", "{not json", '[{"name": "a", "embeddings": 5, "labels": "a.labels"}]']
+)
+def test_run_malformed_manifest_exit_one(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
+                                    "specs": [{"kind": "svd"}], "out_dir": str(tmp_path / "results")}))
+    assert main(["--config", str(cfg_path), "run"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

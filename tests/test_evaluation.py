@@ -210,3 +210,53 @@ def test_evaluate_matrices_per_repeat():
     assert len(res.per_fold) == 9
     single = evaluate_representation(x, labels, k=3, repeats=3, seed=2)
     assert res.per_fold == single.per_fold
+
+
+def reference_loss_and_grad(theta, x, y, n_classes, c):
+    # The textbook kernel, kept as the oracle for the bit-exactness contract.
+    n, dim = x.shape
+    w = theta[: n_classes * dim].reshape(n_classes, dim)
+    b = theta[n_classes * dim :]
+    logits = x @ w.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    denom = exp.sum(axis=1)
+    loss = float(np.sum(np.log(denom) - logits[np.arange(n), y]) + np.sum(w * w) / (2.0 * c))
+    probs = exp / denom[:, None]
+    probs[np.arange(n), y] -= 1.0
+    grad_w = probs.T @ x + w / c
+    grad_b = probs.sum(axis=0)
+    return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8, 13])
+@pytest.mark.parametrize("dim", [1, 6, 64])
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_logreg_kernel_bit_identical_to_reference(n_classes, dim, scale):
+    rng = np.random.default_rng(100 * n_classes + dim)
+    n = 97
+    x = rng.standard_normal((n, dim))
+    y = rng.permutation(np.arange(n) % n_classes)
+    theta = rng.standard_normal(n_classes * dim + n_classes) * 0.1
+    if scale == "large":
+        # Logits up to about +-700: unshifted, exp would overflow.
+        w = theta[: n_classes * dim].reshape(n_classes, dim)
+        theta *= 700.0 / np.abs(x @ w.T + theta[n_classes * dim :]).max()
+    for c in (1.0, 0.01):
+        loss, grad = logreg_loss_and_grad(theta, x, y, n_classes, c)
+        ref_loss, ref_grad = reference_loss_and_grad(theta, x, y, n_classes, c)
+        assert np.isfinite(loss)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
+def test_train_logreg_bit_identical_to_reference_fit(monkeypatch):
+    import core.evaluation as evaluation
+
+    x, labels = gaussian_blobs(15, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.3), (0.0, 1.5, -1.0), (0.5, 0.5, 1.0)],
+                               1.2, seed=14)
+    fast = train_logreg(x, labels.ids)
+    monkeypatch.setattr(evaluation, "logreg_loss_and_grad", reference_loss_and_grad)
+    reference = train_logreg(x, labels.ids)
+    assert np.array_equal(fast.weights, reference.weights)
+    assert np.array_equal(fast.intercepts, reference.intercepts)

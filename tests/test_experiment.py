@@ -122,3 +122,19 @@ def test_run_experiment_json_is_deterministic(tmp_path):
     a = table_to_dict(run_experiment(small_config(manifest)))
     b = table_to_dict(run_experiment(small_config(manifest)))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_run_experiment_numeric_failure_is_recorded(tmp_path, monkeypatch):
+    import core.compressors as compressors
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(compressors, "fit_svd", no_convergence)
+    manifest = small_manifest(tmp_path, names=("only",))
+    table = run_experiment(small_config(manifest))
+    assert table.meta["errors"] == [
+        "task only/svd/direct: SVD did not converge",
+        "task only/svd/recursive: SVD did not converge",
+    ]
+    assert {r.compressor for r in table.records} == {"baseline", "random-subspace"}
