@@ -1,71 +1,3 @@
 """Recursive compression of embedding matrices with classification-based evaluation."""
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
-
-from .compressors import CompressorSpec, FittedCompressor, fit, transform
-from .evaluation import (
-    EvaluationRecord,
-    epsilon_f1,
-    evaluate_matrices,
-    evaluate_representation,
-    micro_f1,
-    predict,
-    stratified_kfold,
-    train_logreg,
-)
-from .experiment import ExperimentConfig, make_synthetic_dataset, run_experiment
-from .io import Labels, load_embeddings, load_labels, load_manifest, save_matrix, validate_dataset
-from .pipeline import (
-    CompressionRun,
-    CompressionSchedule,
-    compress_direct,
-    compress_recursive,
-    dimension_schedule,
-    estimate_cost,
-    mix64,
-)
-from .report import ResultsTable, emit_cd_svg, emit_json, emit_performance_svg, emit_tsv
-from .stats import average_ranks, cd_diagram_layout, friedman_test, nemenyi_cd
-
-__all__ = [
-    "__version__",
-    "CompressorSpec",
-    "FittedCompressor",
-    "fit",
-    "transform",
-    "Labels",
-    "load_embeddings",
-    "load_labels",
-    "load_manifest",
-    "save_matrix",
-    "validate_dataset",
-    "CompressionRun",
-    "CompressionSchedule",
-    "compress_direct",
-    "compress_recursive",
-    "dimension_schedule",
-    "estimate_cost",
-    "mix64",
-    "EvaluationRecord",
-    "epsilon_f1",
-    "evaluate_matrices",
-    "evaluate_representation",
-    "micro_f1",
-    "predict",
-    "stratified_kfold",
-    "train_logreg",
-    "average_ranks",
-    "cd_diagram_layout",
-    "friedman_test",
-    "nemenyi_cd",
-    "ResultsTable",
-    "emit_cd_svg",
-    "emit_json",
-    "emit_performance_svg",
-    "emit_tsv",
-    "ExperimentConfig",
-    "make_synthetic_dataset",
-    "run_experiment",
-]

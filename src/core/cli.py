@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .compressors import CompressorSpec, save_fitted
-from .errors import ConfigError, CoreError
+from .errors import CompressorError, ConfigError, CoreError
 from .evaluation import EvaluationRecord, evaluate_representation
 from .experiment import load_config, run_experiment, write_synthetic_dataset
 from .io import load_embeddings, load_labels, save_matrix, validate_dataset
@@ -40,7 +40,7 @@ def _load_spec(path: str) -> CompressorSpec:
     try:
         data = json.loads(Path(path).read_text())
         return CompressorSpec(data["kind"], data.get("seed", 0), data.get("params", {}))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, CompressorError) as exc:
         raise ConfigError(f"cannot read compressor spec {path}: {exc}") from exc
 
 
@@ -79,7 +79,7 @@ def cmd_compress(args) -> int:
     if seed is not None:
         spec = spec.with_seed(seed)
     mode = _MODE_NAMES[args.mode]
-    schedule = dimension_schedule(e.shape[1], args.kappa, mode=mode)
+    schedule = dimension_schedule(e.shape[1], args.kappa)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CoreError, OSError) as exc:
+    except (CoreError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,72 +1,140 @@
-"""Compression algorithms behind a single fit/transform interface."""
+"""Compression algorithms behind a single fit/transform interface.
+
+Every kind is declared by one entry of ``_REGISTRY``: how to fit it, the
+params it accepts with their defaults, and the state class that stores and
+restores its arrays.
+"""
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
+
 import numpy as np
 
-from .autoencoder import (
-    AutoencoderParams,
-    TrainConfig,
-    autoencoder_forward,
-    batchnorm,
-    embed_autoencoder,
-    fit_autoencoder,
-    reconstruction_loss_and_grads,
-    softsign,
-    train_autoencoder,
-)
-from .base import KINDS, CompressorSpec, FittedCompressor, transform
-from .cluster import fit_cluster_aggregate, kmeans_columns
-from .projection import fit_sparse_projection, projection_density
-from .serialize import load_fitted, save_fitted
-from .subspace import fit_random_subspace, normalize_rows, random_subspace
-from .svd import exact_truncated_svd, fit_svd, randomized_truncated_svd
+from ..errors import CompressorError
+from .autoencoder import AutoencoderParams, TrainConfig, fit_autoencoder
+from .base import FittedCompressor, transform
+from .cluster import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterState, fit_cluster_aggregate
+from .projection import ProjectionState, fit_sparse_projection, projection_density
+from .subspace import SubspaceState, fit_random_subspace, random_subspace
+from .svd import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, SvdState, exact_truncated_svd, fit_svd, randomized_truncated_svd
+
+
+class _Kind(NamedTuple):
+    fit: Callable[[np.ndarray, int, int, dict[str, Any]], FittedCompressor]  # (e, d_out, seed, params)
+    params: dict[str, Any]  # accepted params and their defaults; a value must match its default's type
+    state: type
+
+
+def _cluster(agg: str) -> _Kind:
+    return _Kind(
+        lambda e, d, seed, p: fit_cluster_aggregate(e, d, agg, seed, **p),
+        {"max_iter": DEFAULT_MAX_ITER, "tol": DEFAULT_TOL},
+        ClusterState,
+    )
+
+
+def _neural(size: str) -> _Kind:
+    return _Kind(
+        lambda e, d, seed, p: fit_autoencoder(e, d, size, seed, TrainConfig(**p)),
+        asdict(TrainConfig()),
+        AutoencoderParams,
+    )
+
+
+# The fit adapters are lambdas so that they look the fit functions up in this
+# module at call time, where tests can replace them.
+_REGISTRY: dict[str, _Kind] = {
+    "svd": _Kind(
+        lambda e, d, seed, p: fit_svd(e, d, "randomized", seed, **p),
+        {"oversample": DEFAULT_OVERSAMPLE, "power_iters": DEFAULT_POWER_ITERS},
+        SvdState,
+    ),
+    "svd-exact": _Kind(lambda e, d, seed, p: fit_svd(e, d, "exact", seed), {}, SvdState),
+    "sparse-projection": _Kind(lambda e, d, seed, p: fit_sparse_projection(e.shape[1], d, seed), {}, ProjectionState),
+    "random-subspace": _Kind(lambda e, d, seed, p: fit_random_subspace(e.shape[1], d, seed), {}, SubspaceState),
+    "cluster-max": _cluster("max"),
+    "cluster-mean": _cluster("mean"),
+    "cluster-median": _cluster("median"),
+    "neural-small": _neural("small"),
+    "neural-large": _neural("large"),
+}
+KINDS = tuple(_REGISTRY)
+
+
+@dataclass(frozen=True)
+class CompressorSpec:
+    """Which algorithm to fit, its seed, and kind-specific settings."""
+
+    kind: str
+    seed: int = 0
+    params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _REGISTRY:
+            raise CompressorError(f"unknown compressor kind {self.kind!r}; expected one of {KINDS}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise CompressorError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not isinstance(self.params, dict):
+            raise CompressorError(f"{self.kind}: params must be an object, got {self.params!r}")
+        defaults = _REGISTRY[self.kind].params
+        unknown = set(self.params) - set(defaults)
+        if unknown:
+            raise CompressorError(f"{self.kind}: unknown params {sorted(unknown)}")
+        for key, value in self.params.items():
+            accepted = (int, float) if isinstance(defaults[key], float) else int
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise CompressorError(
+                    f"{self.kind}: param {key!r} must be {type(defaults[key]).__name__}, got {value!r}"
+                )
+
+    def with_seed(self, seed: int) -> "CompressorSpec":
+        return CompressorSpec(self.kind, seed, dict(self.params))
 
 
 def fit(spec: CompressorSpec, e: np.ndarray, d_out: int) -> FittedCompressor:
     """Fit the compressor described by ``spec`` on ``e`` for the target dimension."""
     e = np.asarray(e, dtype=np.float64)
-    kind, seed, params = spec.kind, spec.seed, spec.params
-    if kind == "svd":
-        return fit_svd(e, d_out, "randomized", seed, **params)
-    if kind == "svd-exact":
-        return fit_svd(e, d_out, "exact", seed)
-    if kind == "sparse-projection":
-        return fit_sparse_projection(e.shape[1], d_out, seed)
-    if kind == "random-subspace":
-        return fit_random_subspace(e.shape[1], d_out, seed)
-    if kind.startswith("cluster-"):
-        return fit_cluster_aggregate(e, d_out, kind.removeprefix("cluster-"), seed, **params)
-    if kind.startswith("neural-"):
-        return fit_autoencoder(e, d_out, kind.removeprefix("neural-"), seed, TrainConfig(**params))
-    raise AssertionError(f"unhandled kind {kind}")
+    return _REGISTRY[spec.kind].fit(e, d_out, spec.seed, spec.params)
+
+
+def save_fitted(fc: FittedCompressor, path: str | Path) -> None:
+    """Write one self-describing .npz: a JSON ``meta`` entry plus the state's arrays."""
+    arrays, extra_meta = fc.state.to_arrays()
+    meta = {"kind": fc.kind, "input_dim": fc.input_dim, "output_dim": fc.output_dim, **extra_meta}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
+def load_fitted(path: str | Path) -> FittedCompressor:
+    with np.load(path) as blob:
+        meta = json.loads(blob["meta"].tobytes().decode())
+        kind = meta["kind"]
+        if kind not in _REGISTRY:
+            raise CompressorError(f"unknown serialized kind {kind!r}")
+        state = _REGISTRY[kind].state.from_arrays(blob, meta)
+    return FittedCompressor(kind, meta["input_dim"], meta["output_dim"], state)
 
 
 __all__ = [
     "KINDS",
     "CompressorSpec",
     "FittedCompressor",
-    "AutoencoderParams",
     "TrainConfig",
     "fit",
     "transform",
+    "save_fitted",
+    "load_fitted",
     "fit_svd",
     "fit_sparse_projection",
     "fit_random_subspace",
     "fit_cluster_aggregate",
     "fit_autoencoder",
-    "train_autoencoder",
-    "autoencoder_forward",
-    "embed_autoencoder",
-    "reconstruction_loss_and_grads",
-    "softsign",
-    "batchnorm",
-    "random_subspace",
-    "normalize_rows",
-    "kmeans_columns",
-    "projection_density",
     "exact_truncated_svd",
     "randomized_truncated_svd",
-    "save_fitted",
-    "load_fitted",
+    "random_subspace",
+    "projection_density",
 ]

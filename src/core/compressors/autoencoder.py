@@ -85,6 +85,38 @@ class AutoencoderParams:
         arrays += self.bn_mean + self.bn_var
         return sum(a.nbytes for a in arrays)
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        arrays = {}
+        for i, w in enumerate(self.weights):
+            arrays[f"w{i}"] = w
+            if self.biases[i] is not None:
+                arrays[f"b{i}"] = self.biases[i]
+        for i in range(len(self.bn_mean)):
+            arrays[f"bn_mean{i}"] = self.bn_mean[i]
+            arrays[f"bn_var{i}"] = self.bn_var[i]
+        meta = {
+            "n_affine": len(self.weights),
+            "dropout_rate": self.dropout_rate,
+            "bn_eps": self.bn_eps,
+            "embed_index": self.embed_index,
+            "train_meta": self.train_meta,
+        }
+        return arrays, meta
+
+    @classmethod
+    def from_arrays(cls, blob, meta) -> "AutoencoderParams":
+        n = meta["n_affine"]
+        return cls(
+            weights=[blob[f"w{i}"] for i in range(n)],
+            biases=[blob[f"b{i}"] if f"b{i}" in blob else None for i in range(n)],
+            bn_mean=[blob[f"bn_mean{i}"] for i in range(n - 1)],
+            bn_var=[blob[f"bn_var{i}"] for i in range(n - 1)],
+            dropout_rate=meta["dropout_rate"],
+            bn_eps=meta["bn_eps"],
+            embed_index=meta["embed_index"],
+            train_meta=meta["train_meta"],
+        )
+
 
 def _check_input(p: AutoencoderParams, e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)

@@ -1,64 +1,22 @@
-"""Shared compressor types: the descriptor for a compressor and its fitted state."""
+"""Shared compressor types: the fitted state and the transform that applies it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..errors import CompressorError
 
-KINDS = (
-    "svd",
-    "svd-exact",
-    "sparse-projection",
-    "random-subspace",
-    "cluster-max",
-    "cluster-mean",
-    "cluster-median",
-    "neural-small",
-    "neural-large",
-)
-
-# Parameter keys each kind accepts, validated up front so typos fail fast.
-_PARAM_KEYS = {
-    "svd": {"oversample", "power_iters"},
-    "svd-exact": set(),
-    "sparse-projection": set(),
-    "random-subspace": set(),
-    "cluster-max": {"max_iter", "tol"},
-    "cluster-mean": {"max_iter", "tol"},
-    "cluster-median": {"max_iter", "tol"},
-    "neural-small": {"max_epochs", "tol", "learning_rate", "momentum", "dropout_rate", "bn_eps", "bn_momentum"},
-    "neural-large": {"max_epochs", "tol", "learning_rate", "momentum", "dropout_rate", "bn_eps", "bn_momentum"},
-}
-
-
-@dataclass(frozen=True)
-class CompressorSpec:
-    """Which algorithm to fit, its seed, and kind-specific settings."""
-
-    kind: str
-    seed: int = 0
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise CompressorError(f"unknown compressor kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise CompressorError(f"seed must be a non-negative integer, got {self.seed!r}")
-        unknown = set(self.params) - _PARAM_KEYS[self.kind]
-        if unknown:
-            raise CompressorError(f"{self.kind}: unknown params {sorted(unknown)}")
-
-    def with_seed(self, seed: int) -> "CompressorSpec":
-        return CompressorSpec(self.kind, seed, dict(self.params))
-
 
 @dataclass(frozen=True)
 class FittedCompressor:
-    """Immutable learned projection state; ``transform`` maps rows x d_in -> rows x d_out."""
+    """Immutable learned projection state; ``transform`` maps rows x d_in -> rows x d_out.
+
+    ``state`` provides ``apply(e)``, ``nbytes()``, ``to_arrays() -> (arrays,
+    extra_meta)`` and the classmethod ``from_arrays(blob, meta)``.
+    """
 
     kind: str
     input_dim: int

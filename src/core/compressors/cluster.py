@@ -30,6 +30,13 @@ class ClusterState:
     def nbytes(self) -> int:
         return self.assignment.nbytes
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        return {"assignment": self.assignment}, {"agg": self.agg}
+
+    @classmethod
+    def from_arrays(cls, blob, meta) -> "ClusterState":
+        return cls(blob["assignment"], meta["agg"])
+
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]

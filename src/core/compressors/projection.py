@@ -21,6 +21,15 @@ class ProjectionState:
     def nbytes(self) -> int:
         return self.matrix.data.nbytes + self.matrix.indices.nbytes + self.matrix.indptr.nbytes
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        m = self.matrix
+        return {"proj_data": m.data, "proj_indices": m.indices, "proj_indptr": m.indptr}, {}
+
+    @classmethod
+    def from_arrays(cls, blob, meta) -> "ProjectionState":
+        arrays = (blob["proj_data"], blob["proj_indices"], blob["proj_indptr"])
+        return cls(sparse.csr_array(arrays, shape=(meta["input_dim"], meta["output_dim"])))
+
 
 def projection_density(d_in: int) -> float:
     return 1.0 / np.sqrt(d_in)

@@ -26,6 +26,13 @@ class SubspaceState:
     def nbytes(self) -> int:
         return self.columns.nbytes
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        return {"columns": self.columns}, {}
+
+    @classmethod
+    def from_arrays(cls, blob, meta) -> "SubspaceState":
+        return cls(blob["columns"])
+
 
 def fit_random_subspace(d_in: int, d_out: int, seed: int = 0) -> FittedCompressor:
     if not 1 <= d_out <= d_in:

@@ -25,6 +25,13 @@ class SvdState:
     def nbytes(self) -> int:
         return self.components.nbytes + self.singular_values.nbytes
 
+    def to_arrays(self) -> tuple[dict, dict]:
+        return {"components": self.components, "singular_values": self.singular_values}, {}
+
+    @classmethod
+    def from_arrays(cls, blob, meta) -> "SvdState":
+        return cls(blob["components"], blob["singular_values"])
+
 
 def exact_truncated_svd(e: np.ndarray, d_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading d_out right singular vectors and singular values via full SVD."""

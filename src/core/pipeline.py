@@ -37,14 +37,13 @@ class CompressionSchedule:
     kappa: int
     d0: int
     dims: tuple[int, ...]
-    mode: str = "recursive"
 
     @property
     def steps(self) -> int:
         return len(self.dims)
 
 
-def dimension_schedule(d0: int, kappa: int, mode: str = "recursive") -> CompressionSchedule:
+def dimension_schedule(d0: int, kappa: int) -> CompressionSchedule:
     """Iterate d -> max(d // kappa, kappa) from d0, stopping before the first repeat."""
     if kappa < 2:
         raise ScheduleError(f"kappa must be >= 2, got {kappa}")
@@ -58,7 +57,7 @@ def dimension_schedule(d0: int, kappa: int, mode: str = "recursive") -> Compress
             break
         dims.append(nxt)
         d = nxt
-    return CompressionSchedule(kappa=kappa, d0=d0, dims=tuple(dims), mode=mode)
+    return CompressionSchedule(kappa=kappa, d0=d0, dims=tuple(dims))
 
 
 @dataclass(frozen=True)

@@ -189,3 +189,42 @@ def test_run_malformed_manifest_exit_one(tmp_path, capsys, manifest):
                                     "specs": [{"kind": "svd"}], "out_dir": str(tmp_path / "results")}))
     assert main(["--config", str(cfg_path), "run"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_compress_numeric_failure_exit_one(synth_dir, tmp_path, monkeypatch, capsys):
+    import core.compressors as compressors
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(compressors, "fit_svd", no_convergence)
+    (tmp_path / "spec.json").write_text('{"kind": "svd"}')
+    assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "steps")]) == 1
+    assert capsys.readouterr().err == "error: SVD did not converge\n"
+
+
+BAD_SPECS = [
+    {"kind": "umap"},
+    {"kind": "svd", "params": {"banana": 1}},
+    {"kind": "cluster-mean", "params": {"max_iter": "5"}},
+    {"kind": "neural-small", "params": {"max_epochs": "3"}},
+    {"kind": "svd", "params": {"oversample": 2.5}},
+]
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+def test_compress_bad_spec_exit_two(synth_dir, tmp_path, capsys, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "steps")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read compressor spec")
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS[2:])
+def test_run_param_of_wrong_type_exit_two(synth_dir, tmp_path, capsys, spec):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [spec],
+                                    "repeats": 1, "out_dir": str(tmp_path / "results")}))
+    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert "must be" in capsys.readouterr().err
