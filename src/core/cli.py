@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from .compressors import CompressorSpec, save_fitted
 from .errors import CompressorError, ConfigError, CoreError
 from .evaluation import EvaluationRecord, evaluate_representation
-from .experiment import load_config, run_experiment, write_synthetic_dataset
+from .experiment import ExperimentConfig, load_config, run_experiment, write_synthetic_dataset
 from .io import load_embeddings, load_labels, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
@@ -38,9 +38,8 @@ def _opt(args, name: str):
 
 def _load_spec(path: str) -> CompressorSpec:
     try:
-        data = json.loads(Path(path).read_text())
-        return CompressorSpec(data["kind"], data.get("seed", 0), data.get("params", {}))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, CompressorError) as exc:
+        return CompressorSpec(**json.loads(Path(path).read_text()))
+    except (OSError, json.JSONDecodeError, TypeError, CompressorError) as exc:
         raise ConfigError(f"cannot read compressor spec {path}: {exc}") from exc
 
 
@@ -89,18 +88,14 @@ def cmd_compress(args) -> int:
             save_fitted(fc, out_dir / f"state_{step}.npz")
 
     compress = compress_recursive if mode == "recursive" else compress_direct
-    incremental = args.spill or args.save_states
-    run = compress(e, spec, schedule, retain=not args.spill, on_step=write_step if incremental else None)
-    if not incremental:
-        for step in run.steps:
-            save_matrix(step.output, out_dir / f"step_{step.step}.core")
+    run = compress(e, spec, schedule, retain=False, on_step=write_step)
     meta = {
         "input": str(args.input),
         "mode": mode,
         "kappa": args.kappa,
         "d0": schedule.d0,
         "dims": list(schedule.dims),
-        "spec": {"kind": spec.kind, "seed": spec.seed, "params": dict(spec.params)},
+        "spec": asdict(spec),
         "steps": [
             {
                 "step": s.step,
@@ -141,7 +136,7 @@ def cmd_evaluate(args) -> int:
         repeats=args.repeats,
         extra={"eval_seed": seed, "baseline_mean_f1": baseline.mean_f1},
     )
-    text = json.dumps(record.__dict__, indent=2, sort_keys=True)
+    text = json.dumps(asdict(record), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -225,7 +220,7 @@ def cmd_report(args) -> int:
     table = load_results(args.records)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    margin = args.margin if args.margin is not None else table.meta.get("config", {}).get("margin", 0.05)
+    margin = args.margin if args.margin is not None else table.meta.get("config", {}).get("margin", ExperimentConfig.margin)
     emit_tsv(table, out_dir / "results.tsv")
     emit_performance_svg(table, out_dir / "performance.svg", margin=margin)
     written = ["results.tsv", "results.json", "performance.svg"]
@@ -278,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, default=2)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--spill", action="store_true", help="write steps as produced instead of retaining in memory")
+    p.add_argument("--spill", action="store_true",
+                   help="accepted for compatibility: steps are always written as they are produced")
     p.add_argument("--save-states", action="store_true", help="also write each fitted compressor as state_<i>.npz")
     p.set_defaults(func=cmd_compress)
 

@@ -95,6 +95,11 @@ class CompressorSpec:
         return CompressorSpec(self.kind, seed, dict(self.params))
 
 
+def default_params(kind: str) -> dict[str, Any]:
+    """The params ``kind`` accepts, with their defaults."""
+    return dict(_REGISTRY[kind].params)
+
+
 def fit(spec: CompressorSpec, e: np.ndarray, d_out: int) -> FittedCompressor:
     """Fit the compressor described by ``spec`` on ``e`` for the target dimension."""
     e = np.asarray(e, dtype=np.float64)
@@ -124,6 +129,7 @@ __all__ = [
     "CompressorSpec",
     "FittedCompressor",
     "TrainConfig",
+    "default_params",
     "fit",
     "transform",
     "save_fitted",

@@ -9,7 +9,7 @@ dropout, normalization, or activation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -125,7 +125,9 @@ def _check_input(p: AutoencoderParams, e: np.ndarray) -> np.ndarray:
     return e
 
 
-def init_params(d_in: int, d_out: int, size: str, rng: np.random.Generator) -> AutoencoderParams:
+def init_params(
+    d_in: int, d_out: int, size: str, rng: np.random.Generator, config: TrainConfig = TrainConfig()
+) -> AutoencoderParams:
     if size == "small":
         dims = [(d_in, d_out), (d_out, d_in)]
         embed_index = 0
@@ -144,8 +146,8 @@ def init_params(d_in: int, d_out: int, size: str, rng: np.random.Generator) -> A
         biases=biases,
         bn_mean=[np.zeros(w) for w in widths],
         bn_var=[np.ones(w) for w in widths],
-        dropout_rate=0.1,
-        bn_eps=1e-5,
+        dropout_rate=config.dropout_rate,
+        bn_eps=config.bn_eps,
         embed_index=embed_index,
     )
 
@@ -269,8 +271,7 @@ def train_autoencoder(
     if d_out < 1:
         raise CompressorError(f"d_out must be >= 1, got {d_out}")
     rng = np.random.default_rng(seed)
-    p = init_params(e.shape[1], d_out, size, rng)
-    p = replace(p, dropout_rate=config.dropout_rate, bn_eps=config.bn_eps)
+    p = init_params(e.shape[1], d_out, size, rng, config)
 
     vel_w = [np.zeros_like(w) for w in p.weights]
     vel_b = [None if b is None else np.zeros_like(b) for b in p.biases]
@@ -306,13 +307,7 @@ def train_autoencoder(
         "epochs_run": epochs_run,
         "initial_loss": initial,
         "final_loss": loss,
-        "max_epochs": config.max_epochs,
-        "tol": config.tol,
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "dropout_rate": config.dropout_rate,
-        "bn_eps": config.bn_eps,
-        "bn_momentum": config.bn_momentum,
+        **asdict(config),
     }
     return p
 

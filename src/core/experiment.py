@@ -10,12 +10,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compressors import CompressorSpec
-from .compressors.cluster import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .compressors.autoencoder import TrainConfig
-from .compressors.svd import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS
+from .compressors import CompressorSpec, default_params
 from .errors import CompressorError, ConfigError, CoreError
-from .evaluation import EvaluationRecord, evaluate_matrices, evaluate_representation
+from .evaluation import DEFAULT_C, EvaluationRecord, evaluate_matrices, evaluate_representation
 from .io import Labels, load_embeddings, load_labels, load_manifest, save_labels, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
 from .report import ResultsTable
@@ -52,30 +49,16 @@ class ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["specs"] = [{"kind": s.kind, "seed": s.seed, "params": dict(s.params)} for s in cfg.specs]
-    d["modes"] = list(cfg.modes)
-    return d
+    return asdict(cfg)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Exactly the ``ExperimentConfig`` fields; a missing required or unknown key is a ``ConfigError``."""
     try:
-        specs = tuple(
-            CompressorSpec(s["kind"], s.get("seed", 0), s.get("params", {})) for s in data["specs"]
-        )
-        return ExperimentConfig(
-            manifest=data["manifest"],
-            specs=specs,
-            kappa=data.get("kappa", 2),
-            modes=tuple(data.get("modes", MODES)),
-            folds=data.get("folds", 3),
-            repeats=data.get("repeats", 3),
-            seed=data.get("seed", 0),
-            margin=data.get("margin", 0.05),
-            out_dir=data.get("out_dir", "results"),
-            threads=data.get("threads", 1),
-            task_timeout=data.get("task_timeout"),
-        )
+        data = dict(data, specs=tuple(CompressorSpec(**s) for s in data["specs"]))
+        if "modes" in data:
+            data["modes"] = tuple(data["modes"])
+        return ExperimentConfig(**data)
     except (KeyError, TypeError, CompressorError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
 
@@ -237,17 +220,18 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
                 except (CoreError, np.linalg.LinAlgError) as exc:
                     errors.append(f"task {name}/{kind}/{mode}: {exc}")
 
+    svd, kmeans = default_params("svd"), default_params("cluster-mean")
     meta = {
         "config": config_to_dict(cfg),
         "package_version": __version__,
         "seed_derivation": "splitmix64 chain: config seed -> dataset index -> spec index -> repeat",
         "algorithm_settings": {
-            "rsvd_oversample": DEFAULT_OVERSAMPLE,
-            "rsvd_power_iters": DEFAULT_POWER_ITERS,
-            "kmeans_max_iter": DEFAULT_MAX_ITER,
-            "kmeans_tol": DEFAULT_TOL,
-            "autoencoder_defaults": asdict(TrainConfig()),
-            "logreg_c": 1.0,
+            "rsvd_oversample": svd["oversample"],
+            "rsvd_power_iters": svd["power_iters"],
+            "kmeans_max_iter": kmeans["max_iter"],
+            "kmeans_tol": kmeans["tol"],
+            "autoencoder_defaults": default_params("neural-small"),
+            "logreg_c": DEFAULT_C,
         },
         "errors": sorted(errors),
     }

@@ -9,7 +9,6 @@ to float64 in memory for all computation.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,7 +208,3 @@ def validate_dataset(e: np.ndarray, labels: Labels, k: int) -> DatasetInfo:
         min_class_count=int(counts.min()),
     )
 
-
-def matrix_equal_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bit-exact equality, treating NaN patterns as unequal (none should exist)."""
-    return a.shape == b.shape and bool(np.all(a == b)) and not (math.isnan(a.sum()) or math.isnan(b.sum()))

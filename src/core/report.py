@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import CoreError
@@ -53,22 +53,7 @@ def table_to_dict(t: ResultsTable) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "meta": t.meta,
-        "records": [
-            {
-                "dataset": r.dataset,
-                "representation": r.representation,
-                "compressor": r.compressor,
-                "mode": r.mode,
-                "step": r.step,
-                "dim": r.dim,
-                "mean_f1": r.mean_f1,
-                "std_f1": r.std_f1,
-                "epsilon_f1": r.epsilon_f1,
-                "repeats": r.repeats,
-                "extra": r.extra,
-            }
-            for r in t.sorted_records()
-        ],
+        "records": [asdict(r) for r in t.sorted_records()],
     }
 
 
@@ -84,23 +69,13 @@ def load_results(path: str | Path) -> ResultsTable:
         raise CoreError(f"{path}: not a results JSON file ({exc})") from exc
     if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
         raise CoreError(f"unsupported results schema in {path}")
-    records = [
-        EvaluationRecord(
-            dataset=r["dataset"],
-            representation=r["representation"],
-            compressor=r["compressor"],
-            mode=r["mode"],
-            step=r["step"],
-            dim=r["dim"],
-            mean_f1=r["mean_f1"],
-            std_f1=r["std_f1"],
-            epsilon_f1=r["epsilon_f1"],
-            repeats=r["repeats"],
-            extra=r.get("extra", {}),
-        )
-        for r in data["records"]
-    ]
-    return ResultsTable(records=records, meta=data.get("meta", {}))
+    records, meta = data.get("records"), data.get("meta", {})
+    if not isinstance(records, list) or not isinstance(meta, dict):
+        raise CoreError(f"{path}: 'records' must be a list and 'meta' an object")
+    try:
+        return ResultsTable(records=[EvaluationRecord(**r) for r in records], meta=meta)
+    except TypeError as exc:
+        raise CoreError(f"{path}: malformed record ({exc})") from exc
 
 
 def emit_tsv(t: ResultsTable, path: str | Path) -> None:

@@ -199,3 +199,10 @@ def test_embed_large_is_preactivation_bottleneck():
     # Matches a manual walk: inference block after affine 0, then affine 1 only.
     h = softsign((x @ p.weights[0] + p.biases[0]) / np.sqrt(1.0 + p.bn_eps))
     np.testing.assert_allclose(emb, h @ p.weights[1] + p.biases[1], atol=1e-12)
+
+
+def test_init_params_takes_dropout_and_eps_from_config():
+    p = init_params(5, 2, "large", np.random.default_rng(0), TrainConfig(dropout_rate=0.3, bn_eps=1e-3))
+    assert (p.dropout_rate, p.bn_eps) == (0.3, 1e-3)
+    q = train_autoencoder(np.ones((6, 5)), 2, "small", config=TrainConfig(max_epochs=1, dropout_rate=0.0, bn_eps=0.5))
+    assert (q.dropout_rate, q.bn_eps) == (0.0, 0.5)

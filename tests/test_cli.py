@@ -228,3 +228,54 @@ def test_run_param_of_wrong_type_exit_two(synth_dir, tmp_path, capsys, spec):
                                     "repeats": 1, "out_dir": str(tmp_path / "results")}))
     assert main(["--config", str(cfg_path), "run"]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_run_unknown_config_key_exit_two(synth_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
+                                    "repeat": 5, "out_dir": str(tmp_path / "results")}))
+    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad experiment config")
+    assert not (tmp_path / "results").exists()
+
+
+def test_compress_unknown_spec_key_exit_two(synth_dir, tmp_path, capsys):
+    (tmp_path / "spec.json").write_text('{"kind": "svd", "sed": 3}')
+    assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "steps")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read compressor spec")
+    assert not (tmp_path / "steps").exists()
+
+
+def _results_file(path, mutate) -> None:
+    """A results file that ``stats`` and ``report`` accept, changed by ``mutate(data)``."""
+    records = [
+        {"dataset": ds, "representation": "synthetic", "compressor": kind, "mode": "recursive",
+         "step": step, "dim": 16 >> step, "mean_f1": 0.8, "std_f1": 0.01,
+         "epsilon_f1": 0.01 * (i + j + step), "repeats": 2, "extra": {}}
+        for i, ds in enumerate(("a", "b", "c"))
+        for j, kind in enumerate(("svd", "random-subspace", "svd-exact"))
+        for step in (1, 2)
+    ]
+    data = {"schema_version": 1, "meta": {}, "records": records}
+    mutate(data)
+    path.write_text(json.dumps(data))
+
+
+MALFORMED_RESULTS = {
+    "missing-field": lambda d: d["records"][3].pop("dim"),
+    "unknown-field": lambda d: d["records"][3].update(f1=0.5),
+    "records-not-a-list": lambda d: d.update(records=5),
+    "meta-not-an-object": lambda d: d.update(meta=[]),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("mutate", MALFORMED_RESULTS.values(), ids=MALFORMED_RESULTS.keys())
+def test_malformed_results_exit_one(tmp_path, capsys, command, mutate):
+    _results_file(tmp_path / "results.json", mutate)
+    argv = [command, "--records", str(tmp_path / "results.json")]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
