@@ -12,9 +12,9 @@ import numpy as np
 
 from .compressors import CompressorSpec, save_fitted
 from .errors import CompressorError, ConfigError, CoreError
-from .evaluation import EvaluationRecord, evaluate_representation
+from .evaluation import EvaluationRecord, epsilon_f1, evaluate_representation
 from .experiment import ExperimentConfig, load_config, run_experiment, write_synthetic_dataset
-from .io import load_embeddings, load_labels, save_matrix, validate_dataset
+from .io import load_embeddings, load_labels, load_manifest, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
     ResultsTable,
@@ -51,6 +51,11 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    manifest_path = Path(args.out) / "manifest.json"
+    entries = []
+    if manifest_path.exists():
+        load_manifest(manifest_path)  # checks the file before anything is written
+        entries = json.loads(manifest_path.read_text())
     entry = write_synthetic_dataset(
         args.out,
         args.name,
@@ -63,8 +68,6 @@ def cmd_synth(args) -> int:
         within=args.within,
         noise=args.noise,
     )
-    manifest_path = Path(args.out) / "manifest.json"
-    entries = json.loads(manifest_path.read_text()) if manifest_path.exists() else []
     entries = [e for e in entries if e.get("name") != entry["name"]] + [entry]
     manifest_path.write_text(json.dumps(entries, indent=2) + "\n")
     print(f"wrote {Path(args.out) / (args.name + '.core')} and updated {manifest_path}")
@@ -132,7 +135,7 @@ def cmd_evaluate(args) -> int:
         dim=e.shape[1],
         mean_f1=compressed.mean_f1,
         std_f1=compressed.std_f1,
-        epsilon_f1=compressed.mean_f1 - baseline.mean_f1,
+        epsilon_f1=epsilon_f1(compressed.mean_f1, baseline.mean_f1),
         repeats=args.repeats,
         extra={"eval_seed": seed, "baseline_mean_f1": baseline.mean_f1},
     )

@@ -65,6 +65,12 @@ _REGISTRY: dict[str, _Kind] = {
 KINDS = tuple(_REGISTRY)
 
 
+def number_like(value: Any, default: int | float) -> bool:
+    """An int default accepts ``int`` only, a float default ``int`` or ``float``; ``bool`` never."""
+    accepted = (int, float) if isinstance(default, float) else int
+    return isinstance(value, accepted) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CompressorSpec:
     """Which algorithm to fit, its seed, and kind-specific settings."""
@@ -85,8 +91,7 @@ class CompressorSpec:
         if unknown:
             raise CompressorError(f"{self.kind}: unknown params {sorted(unknown)}")
         for key, value in self.params.items():
-            accepted = (int, float) if isinstance(defaults[key], float) else int
-            if isinstance(value, bool) or not isinstance(value, accepted):
+            if not number_like(value, defaults[key]):
                 raise CompressorError(
                     f"{self.kind}: param {key!r} must be {type(defaults[key]).__name__}, got {value!r}"
                 )
@@ -130,6 +135,7 @@ __all__ = [
     "FittedCompressor",
     "TrainConfig",
     "default_params",
+    "number_like",
     "fit",
     "transform",
     "save_fitted",

@@ -73,10 +73,6 @@ class AutoencoderParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[self.embed_index].shape[1]
-
     def apply(self, e: np.ndarray) -> np.ndarray:
         return embed_autoencoder(self, e)
 
@@ -158,42 +154,28 @@ def sample_dropout_masks(p: AutoencoderParams, n_rows: int, rng: np.random.Gener
     return [rng.random((n_rows, w.shape[1])) >= p.dropout_rate for w in p.weights[:-1]]
 
 
-def autoencoder_forward(
-    p: AutoencoderParams,
-    e: np.ndarray,
-    training: bool = False,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Full reconstruction pass. Dropout is active only when training; inference
-    batch norm uses the stored running statistics."""
-    e = _check_input(p, e)
-    h = e
-    last = len(p.weights) - 1
-    for i, w in enumerate(p.weights):
-        z = h @ w
-        if p.biases[i] is not None:
-            z = z + p.biases[i]
-        if i == last:
-            return z
-        if training:
-            if dropout_masks is not None:
-                z = z * dropout_masks[i] / (1.0 - p.dropout_rate)
-            z = batchnorm(z, p.bn_eps)
-        else:
-            z = (z - p.bn_mean[i]) / np.sqrt(p.bn_var[i] + p.bn_eps)
+def _infer(p: AutoencoderParams, e: np.ndarray, stop: int) -> np.ndarray:
+    """Hidden layers ``0..stop-1`` with the running batch-norm statistics, then
+    the pre-activation output of affine ``stop``."""
+    h = _check_input(p, e)
+    for i in range(stop):
+        z = h @ p.weights[i] + p.biases[i]
+        z = (z - p.bn_mean[i]) / np.sqrt(p.bn_var[i] + p.bn_eps)
         h = softsign(z)
-    raise AssertionError("unreachable")
+    z = h @ p.weights[stop]
+    if p.biases[stop] is not None:
+        z = z + p.biases[stop]
+    return z
+
+
+def autoencoder_forward(p: AutoencoderParams, e: np.ndarray) -> np.ndarray:
+    """Full reconstruction pass; batch norm uses the stored running statistics."""
+    return _infer(p, e, len(p.weights) - 1)
 
 
 def embed_autoencoder(p: AutoencoderParams, e: np.ndarray) -> np.ndarray:
     """Pre-activation bottleneck output: no dropout, no batch norm, no activation."""
-    e = _check_input(p, e)
-    h = e
-    for i in range(p.embed_index):
-        z = h @ p.weights[i] + p.biases[i]
-        z = (z - p.bn_mean[i]) / np.sqrt(p.bn_var[i] + p.bn_eps)
-        h = softsign(z)
-    return h @ p.weights[p.embed_index] + p.biases[p.embed_index]
+    return _infer(p, e, p.embed_index)
 
 
 def reconstruction_loss_and_grads(

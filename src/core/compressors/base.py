@@ -27,7 +27,8 @@ class FittedCompressor:
         return self.state.nbytes()
 
 
-def check_transform_input(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:
+def transform(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:
+    """Apply a fitted compressor to a matrix with matching column count."""
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 2:
         raise CompressorError(f"expected a 2-D matrix, got shape {e.shape}")
@@ -35,12 +36,6 @@ def check_transform_input(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:
         raise CompressorError("cannot transform an empty matrix (0 rows)")
     if e.shape[1] != fc.input_dim:
         raise CompressorError(f"matrix has {e.shape[1]} columns but compressor expects {fc.input_dim}")
-    return e
-
-
-def transform(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:
-    """Apply a fitted compressor to a matrix with matching column count."""
-    e = check_transform_input(fc, e)
     out = fc.state.apply(e)
     assert out.shape == (e.shape[0], fc.output_dim)
     return out

@@ -75,8 +75,8 @@ def kmeans_columns(
     """Lloyd iterations from a k-means++ start; returns the assignment vector.
 
     Empty clusters are repaired each round by moving in the point currently
-    farthest from its assigned center, so the final partition always has k
-    non-empty clusters.
+    farthest from its assigned center, taken from a cluster with another
+    member, so the final partition always has k non-empty clusters.
     """
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(points, k, rng)
@@ -86,11 +86,12 @@ def kmeans_columns(
         d2 = _sq_distances(points, centers)
         assignment = d2.argmin(axis=1)
         dist_to_own = d2[np.arange(len(points)), assignment]
-        for c in range(k):
-            if not np.any(assignment == c):
-                far = int(dist_to_own.argmax())
-                assignment[far] = c
-                dist_to_own[far] = 0.0
+        counts = np.bincount(assignment, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.where(counts[assignment] > 1, dist_to_own, -1.0).argmax())
+            counts[assignment[far]] -= 1
+            counts[c] = 1
+            assignment[far] = c
         for c in range(k):
             centers[c] = points[assignment == c].mean(axis=0)
         inertia = float(np.sum((points - centers[assignment]) ** 2))

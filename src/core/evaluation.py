@@ -19,8 +19,6 @@ GRAD_TOL = 1e-5
 @dataclass(frozen=True)
 class FoldAssignment:
     fold_of: np.ndarray  # fold id per document
-    k: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def stratified_kfold(labels: Labels, k: int, seed: int) -> FoldAssignment:
             )
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed)
+    return FoldAssignment(fold_of)
 
 
 def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float):
@@ -147,20 +145,17 @@ def predict(model: ClassifierModel, x: np.ndarray) -> np.ndarray:
 
 
 def micro_f1(pred: np.ndarray, truth: np.ndarray) -> float:
-    """F1 from globally pooled true/false positives and false negatives."""
+    """F1 from globally pooled true/false positives and false negatives.
+
+    With one label per document every miss is one false positive and one false
+    negative, so 2TP / (2TP + FP + FN) is exactly TP / n, the accuracy.
+    """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise EvaluationError(f"length mismatch: {pred.shape} vs {truth.shape}")
-    classes = np.union1d(pred, truth)
-    tp = fp = fn = 0
-    for cls in classes:
-        tp += int(np.sum((pred == cls) & (truth == cls)))
-        fp += int(np.sum((pred == cls) & (truth != cls)))
-        fn += int(np.sum((pred != cls) & (truth == cls)))
-    if tp == 0:
-        return 0.0
-    return 2.0 * tp / (2.0 * tp + fp + fn)
+    tp = int(np.count_nonzero(pred == truth))
+    return tp / pred.size if tp else 0.0
 
 
 def epsilon_f1(f1_compressed: float, f1_initial: float) -> float:

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compressors import CompressorSpec, default_params
+from .compressors import CompressorSpec, default_params, number_like
 from .errors import CompressorError, ConfigError, CoreError
-from .evaluation import DEFAULT_C, EvaluationRecord, evaluate_matrices, evaluate_representation
+from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, epsilon_f1, evaluate_matrices, evaluate_representation
 from .io import Labels, load_embeddings, load_labels, load_manifest, save_labels, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
 from .report import ResultsTable
@@ -35,14 +35,16 @@ class ExperimentConfig:
     task_timeout: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            like = 0.0 if f.name == "task_timeout" and value is not None else f.default
+            if isinstance(like, (int, float)) and not number_like(value, like):
+                raise ConfigError(f"{f.name} must be {type(like).__name__}, got {value!r}")
         if not self.specs:
             raise ConfigError("need at least one compressor spec")
-        if self.kappa < 2:
-            raise ConfigError(f"kappa must be >= 2, got {self.kappa}")
-        if self.margin < 0:
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for name, least in (("kappa", 2), ("margin", 0), ("folds", 2), ("repeats", 1), ("threads", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         bad = [m for m in self.modes if m not in MODES]
         if bad or not self.modes:
             raise ConfigError(f"modes must be a non-empty subset of {MODES}, got {self.modes}")
@@ -109,7 +111,7 @@ def write_synthetic_dataset(out_dir: str | Path, name: str, **kwargs) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Dataset:
     index: int
     name: str
@@ -117,7 +119,24 @@ class _Dataset:
     matrix: np.ndarray
     labels: Labels
     eval_seed: int
-    baseline_mean: float = 0.0
+    baseline_mean: float
+
+
+def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, step: int, dim: int,
+            res: EvalResult, **extra) -> EvaluationRecord:
+    return EvaluationRecord(
+        dataset=ds.name,
+        representation=ds.representation,
+        compressor=compressor,
+        mode=mode,
+        step=step,
+        dim=dim,
+        mean_f1=res.mean_f1,
+        std_f1=res.std_f1,
+        epsilon_f1=epsilon_f1(res.mean_f1, ds.baseline_mean),
+        repeats=cfg.repeats,
+        extra={"eval_seed": ds.eval_seed, **extra},
+    )
 
 
 def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -> list[EvaluationRecord]:
@@ -131,21 +150,7 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
     for i, dim in enumerate(schedule.dims, start=1):
         mats = [run.outputs()[i - 1] for run in runs]
         res = evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
-        records.append(
-            EvaluationRecord(
-                dataset=ds.name,
-                representation=ds.representation,
-                compressor=spec.kind,
-                mode=mode,
-                step=i,
-                dim=dim,
-                mean_f1=res.mean_f1,
-                std_f1=res.std_f1,
-                epsilon_f1=res.mean_f1 - ds.baseline_mean,
-                repeats=cfg.repeats,
-                extra={"eval_seed": ds.eval_seed, "compressor_seeds": repeat_seeds},
-            )
-        )
+        records.append(_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds))
     return records
 
 
@@ -155,12 +160,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     All seeds derive from (config seed, stable manifest/spec indices), so the
     output is byte-identical across runs and thread counts.
     """
-    entries = load_manifest(cfg.manifest)
     errors: list[str] = []
     datasets: list[_Dataset] = []
     records: list[EvaluationRecord] = []
 
-    for idx, entry in enumerate(entries):
+    for idx, entry in enumerate(load_manifest(cfg.manifest)):
         try:
             e = load_embeddings(entry.embeddings)
             labels = load_labels(entry.labels)
@@ -168,35 +172,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         except (CoreError, OSError) as exc:
             errors.append(f"dataset {entry.name}: {exc}")
             continue
-        datasets.append(
-            _Dataset(
-                index=idx,
-                name=entry.name,
-                representation=entry.representation,
-                matrix=e,
-                labels=labels,
-                eval_seed=mix64(cfg.seed, idx),
-            )
-        )
-
-    for ds in datasets:
-        base = evaluate_representation(ds.matrix, ds.labels, cfg.folds, cfg.repeats, ds.eval_seed)
-        ds.baseline_mean = base.mean_f1
-        records.append(
-            EvaluationRecord(
-                dataset=ds.name,
-                representation=ds.representation,
-                compressor="baseline",
-                mode="none",
-                step=0,
-                dim=ds.matrix.shape[1],
-                mean_f1=base.mean_f1,
-                std_f1=base.std_f1,
-                epsilon_f1=0.0,
-                repeats=cfg.repeats,
-                extra={"eval_seed": ds.eval_seed},
-            )
-        )
+        eval_seed = mix64(cfg.seed, idx)
+        base = evaluate_representation(e, labels, cfg.folds, cfg.repeats, eval_seed)
+        ds = _Dataset(idx, entry.name, entry.representation, e, labels, eval_seed, base.mean_f1)
+        datasets.append(ds)
+        records.append(_record(cfg, ds, "baseline", "none", 0, e.shape[1], base))
 
     tasks = [(ds, si, mode) for ds in datasets for si in range(len(cfg.specs)) for mode in cfg.modes]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

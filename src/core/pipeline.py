@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,10 +72,7 @@ class StepResult:
 
 @dataclass(frozen=True)
 class CompressionRun:
-    schedule: CompressionSchedule
-    spec: CompressorSpec
-    mode: str
-    steps: list[StepResult] = field(default_factory=list)
+    steps: list[StepResult]
 
     def outputs(self) -> list[np.ndarray]:
         out = [s.output for s in self.steps]
@@ -120,7 +117,7 @@ def _run(
         if on_step is not None:
             on_step(i, dim, out, fc)
         current = out
-    return CompressionRun(schedule=schedule, spec=spec, mode=mode, steps=steps)
+    return CompressionRun(steps)
 
 
 def compress_recursive(

@@ -239,6 +239,35 @@ def test_run_unknown_config_key_exit_two(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
+BAD_CONFIG_VALUES = {
+    "repeats-string": {"repeats": "2"},
+    "folds-string": {"folds": "3"},
+    "seed-float": {"seed": 1.5},
+    "task-timeout-string": {"task_timeout": "5"},
+    "folds-one": {"folds": 1},
+    "repeats-zero": {"repeats": 0},
+}
+
+
+@pytest.mark.parametrize("override", BAD_CONFIG_VALUES.values(), ids=BAD_CONFIG_VALUES.keys())
+def test_run_bad_config_value_exit_two(synth_dir, tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
+                                    "out_dir": str(tmp_path / "results"), **override}))
+    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {next(iter(override))} must be")
+    assert not (tmp_path / "results").exists()
+
+
+def test_synth_invalid_existing_manifest_exit_one(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_text("{bad")
+    assert main(["synth", "--docs", "36", "--classes", "3", "--rank", "4", "--dim", "16",
+                 "--out", str(tmp_path), "--name", "tiny"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "tiny.core").exists()
+    assert (tmp_path / "manifest.json").read_text() == "{bad"
+
+
 def test_compress_unknown_spec_key_exit_two(synth_dir, tmp_path, capsys):
     (tmp_path / "spec.json").write_text('{"kind": "svd", "sed": 3}')
     assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),

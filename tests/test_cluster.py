@@ -65,6 +65,18 @@ def test_assignment_is_full_partition():
         assert set(a.tolist()) == set(range(k))  # no empty clusters after fit
 
 
+@pytest.mark.parametrize("agg", ["max", "mean", "median"])
+def test_duplicate_columns_fill_every_cluster(agg):
+    # Identical columns leave all but one cluster empty after the first
+    # assignment; each repair must take a point from a cluster that keeps one.
+    e = np.tile(np.arange(10.0)[:, None], (1, 8))
+    fc = fit_cluster_aggregate(e, 4, agg, seed=0)
+    assert sorted(set(fc.state.assignment.tolist())) == [0, 1, 2, 3]
+    out = transform(fc, e)
+    assert out.shape == (10, 4)
+    assert np.all(np.isfinite(out))
+
+
 def test_deterministic_given_seed():
     rng = np.random.default_rng(5)
     e = rng.standard_normal((8, 20))

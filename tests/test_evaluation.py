@@ -149,6 +149,10 @@ def test_micro_f1_equals_accuracy_property():
         assert micro_f1(pred, truth) == pytest.approx(accuracy, abs=1e-15)
 
 
+def test_micro_f1_empty_input_is_zero():
+    assert micro_f1(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == 0.0
+
+
 def test_micro_f1_length_mismatch():
     with pytest.raises(EvaluationError):
         micro_f1(np.array([0, 1]), np.array([0]))
