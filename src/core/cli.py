@@ -182,7 +182,12 @@ def _rank_input(table: ResultsTable, step: int):
         return f"{r.representation}:{base}" if len(reps) > 1 else base
 
     methods = sorted({method_name(r) for r in records})
-    cells = {(r.dataset, method_name(r)): r.epsilon_f1 for r in records}
+    cells = {}
+    for r in records:
+        ds, m = r.dataset, method_name(r)
+        if (ds, m) in cells:
+            raise CoreError(f"duplicate score for dataset {ds!r}, method {m!r} at step {step}")
+        cells[(ds, m)] = r.epsilon_f1
     scores = np.empty((len(datasets), len(methods)))
     for i, ds in enumerate(datasets):
         for j, m in enumerate(methods):

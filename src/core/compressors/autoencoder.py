@@ -76,11 +76,6 @@ class AutoencoderParams:
     def apply(self, e: np.ndarray) -> np.ndarray:
         return embed_autoencoder(self, e)
 
-    def nbytes(self) -> int:
-        arrays = [w for w in self.weights] + [b for b in self.biases if b is not None]
-        arrays += self.bn_mean + self.bn_var
-        return sum(a.nbytes for a in arrays)
-
     def to_arrays(self) -> tuple[dict, dict]:
         arrays = {}
         for i, w in enumerate(self.weights):

@@ -14,8 +14,8 @@ from ..errors import CompressorError
 class FittedCompressor:
     """Immutable learned projection state; ``transform`` maps rows x d_in -> rows x d_out.
 
-    ``state`` provides ``apply(e)``, ``nbytes()``, ``to_arrays() -> (arrays,
-    extra_meta)`` and the classmethod ``from_arrays(blob, meta)``.
+    ``state`` provides ``apply(e)``, ``to_arrays() -> (arrays, extra_meta)`` and
+    the classmethod ``from_arrays(blob, meta)``.
     """
 
     kind: str
@@ -24,7 +24,7 @@ class FittedCompressor:
     state: Any
 
     def state_bytes(self) -> int:
-        return self.state.nbytes()
+        return sum(a.nbytes for a in self.state.to_arrays()[0].values())
 
 
 def transform(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:

@@ -27,9 +27,6 @@ class ClusterState:
             out[:, c] = reduce(e[:, self.assignment == c], axis=1)
         return out
 
-    def nbytes(self) -> int:
-        return self.assignment.nbytes
-
     def to_arrays(self) -> tuple[dict, dict]:
         return {"assignment": self.assignment}, {"agg": self.agg}
 

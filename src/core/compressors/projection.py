@@ -18,9 +18,6 @@ class ProjectionState:
     def apply(self, e: np.ndarray) -> np.ndarray:
         return e @ self.matrix
 
-    def nbytes(self) -> int:
-        return self.matrix.data.nbytes + self.matrix.indices.nbytes + self.matrix.indptr.nbytes
-
     def to_arrays(self) -> tuple[dict, dict]:
         m = self.matrix
         return {"proj_data": m.data, "proj_indices": m.indices, "proj_indptr": m.indptr}, {}

@@ -23,9 +23,6 @@ class SubspaceState:
     def apply(self, e: np.ndarray) -> np.ndarray:
         return normalize_rows(e[:, self.columns])
 
-    def nbytes(self) -> int:
-        return self.columns.nbytes
-
     def to_arrays(self) -> tuple[dict, dict]:
         return {"columns": self.columns}, {}
 

@@ -22,9 +22,6 @@ class SvdState:
         # Projecting the fitted matrix itself yields the score matrix U*Sigma.
         return e @ self.components
 
-    def nbytes(self) -> int:
-        return self.components.nbytes + self.singular_values.nbytes
-
     def to_arrays(self) -> tuple[dict, dict]:
         return {"components": self.components, "singular_values": self.singular_values}, {}
 

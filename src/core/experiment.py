@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -140,14 +141,24 @@ def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, ste
 
 
 def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -> list[EvaluationRecord]:
+    """All records of one (dataset, spec, mode) task; ``task_timeout`` counts from
+    the task's start and is checked after each compression step and before each
+    step's scoring."""
+    deadline = None if cfg.task_timeout is None else time.monotonic() + cfg.task_timeout
+
+    def check_deadline(*_step):
+        if deadline is not None and time.monotonic() > deadline:
+            raise CoreError(f"timed out after {cfg.task_timeout}s")
+
     spec = cfg.specs[spec_index]
     schedule = dimension_schedule(ds.matrix.shape[1], cfg.kappa)
     compress = compress_recursive if mode == "recursive" else compress_direct
     task_seed = mix64(mix64(cfg.seed, ds.index), spec_index)
     repeat_seeds = [mix64(task_seed, r) for r in range(cfg.repeats)]
-    runs = [compress(ds.matrix, spec.with_seed(s), schedule) for s in repeat_seeds]
+    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=check_deadline) for s in repeat_seeds]
     records = []
     for i, dim in enumerate(schedule.dims, start=1):
+        check_deadline()
         mats = [run.outputs()[i - 1] for run in runs]
         res = evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
         records.append(_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds))
@@ -157,8 +168,9 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     """Run every (dataset, spec, mode) task; failures are recorded, not fatal.
 
-    All seeds derive from (config seed, stable manifest/spec indices), so the
-    output is byte-identical across runs and thread counts.
+    All seeds derive from (config seed, stable manifest/spec indices) and task
+    results are collected in task order, so the output is byte-identical across
+    runs and thread counts.
     """
     errors: list[str] = []
     datasets: list[_Dataset] = []
@@ -180,25 +192,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
 
     tasks = [(ds, si, mode) for ds in datasets for si in range(len(cfg.specs)) for mode in cfg.modes]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = {
-            pool.submit(_run_task, cfg, ds, si, mode): (ds.name, cfg.specs[si].kind, mode)
-            for ds, si, mode in tasks
-        }
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, timeout=cfg.task_timeout, return_when=FIRST_COMPLETED)
-            if not done and cfg.task_timeout is not None:
-                for fut in pending:
-                    fut.cancel()  # running threads cannot be killed, queued tasks can
-                    name, kind, mode = futures[fut]
-                    errors.append(f"task {name}/{kind}/{mode}: timed out after {cfg.task_timeout}s")
-                break
-            for fut in done:
-                name, kind, mode = futures[fut]
-                try:
-                    records.extend(fut.result())
-                except (CoreError, np.linalg.LinAlgError) as exc:
-                    errors.append(f"task {name}/{kind}/{mode}: {exc}")
+        futures = [pool.submit(_run_task, cfg, ds, si, mode) for ds, si, mode in tasks]
+        for (ds, si, mode), fut in zip(tasks, futures):
+            try:
+                records.extend(fut.result())
+            except (CoreError, np.linalg.LinAlgError) as exc:
+                errors.append(f"task {ds.name}/{cfg.specs[si].kind}/{mode}: {exc}")
 
     svd, kmeans = default_params("svd"), default_params("cluster-mean")
     meta = {

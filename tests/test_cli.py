@@ -308,3 +308,16 @@ def test_malformed_results_exit_one(tmp_path, capsys, command, mutate):
         argv += ["--out", str(tmp_path / "report")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_duplicate_score_is_an_error_not_a_silent_overwrite(tmp_path, capsys):
+    def add_second_svd_record(data):
+        data["records"].append(dict(data["records"][0], epsilon_f1=-0.3))
+
+    _results_file(tmp_path / "results.json", add_second_svd_record)
+    records = str(tmp_path / "results.json")
+    assert main(["stats", "--records", records, "--step", "1"]) == 1
+    assert capsys.readouterr().err == "error: duplicate score for dataset 'a', method 'svd' at step 1\n"
+    assert main(["report", "--records", records, "--out", str(tmp_path / "report"), "--step", "1"]) == 0
+    assert "skipping CD diagram: duplicate score" in capsys.readouterr().err
+    assert not (tmp_path / "report" / "cd_step_1.svg").exists()

@@ -138,3 +138,72 @@ def test_run_experiment_numeric_failure_is_recorded(tmp_path, monkeypatch):
         "task only/svd/recursive: SVD did not converge",
     ]
     assert {r.compressor for r in table.records} == {"baseline", "random-subspace"}
+
+
+def test_run_experiment_records_do_not_depend_on_completion_order(tmp_path, monkeypatch):
+    import time
+
+    import core.experiment as experiment
+
+    manifest = small_manifest(tmp_path, names=("only",))
+    specs = (CompressorSpec("svd", seed=1), CompressorSpec("svd", seed=2, params={"oversample": 20}))
+    cfg = small_config(manifest, specs=specs, modes=("recursive",))
+    expected = json.dumps(table_to_dict(run_experiment(cfg))["records"], sort_keys=True)
+
+    run_task = experiment._run_task
+
+    def spec_0_finishes_last(cfg, ds, spec_index, mode):
+        if spec_index == 0:
+            time.sleep(0.3)
+        return run_task(cfg, ds, spec_index, mode)
+
+    monkeypatch.setattr(experiment, "_run_task", spec_0_finishes_last)
+    table = run_experiment(small_config(manifest, specs=specs, modes=("recursive",), threads=2))
+    assert json.dumps(table_to_dict(table)["records"], sort_keys=True) == expected
+
+
+def test_task_timeout_stops_the_running_task_and_runs_the_rest(tmp_path, monkeypatch):
+    import time
+    from types import SimpleNamespace
+
+    import core.experiment as experiment
+    import core.pipeline as pipeline
+
+    entry = write_synthetic_dataset(tmp_path, "wide", docs=60, classes=3, rank=4, dim=64, seed=3)
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    # Deadlines read a clock that only the slow fit advances, by as much as it
+    # sleeps, so the svd task cannot time out on a busy host.
+    fit, run_task, slow_calls, clock, task_seconds = pipeline.fit, experiment._run_task, [], [0.0], {}
+
+    def slow_subspace_fit(spec, e, d_out):
+        if spec.kind == "random-subspace":
+            slow_calls.append(d_out)
+            time.sleep(0.6)
+            clock[0] += 0.6
+        return fit(spec, e, d_out)
+
+    def timed_task(cfg, ds, spec_index, mode):
+        start = time.perf_counter()
+        try:
+            return run_task(cfg, ds, spec_index, mode)
+        finally:
+            task_seconds[cfg.specs[spec_index].kind] = time.perf_counter() - start
+
+    monkeypatch.setattr(pipeline, "fit", slow_subspace_fit)
+    monkeypatch.setattr(experiment, "_run_task", timed_task)
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    cfg = small_config(
+        tmp_path / "manifest.json",
+        specs=(CompressorSpec("random-subspace", seed=2), CompressorSpec("svd", seed=1)),
+        modes=("recursive",),
+        repeats=1,
+        threads=1,
+        task_timeout=1.0,
+    )
+    table = run_experiment(cfg)
+    steps = 5  # 64 -> 32 -> 16 -> 8 -> 4 -> 2
+    assert len(slow_calls) < steps
+    assert table.meta["errors"] == ["task wide/random-subspace/recursive: timed out after 1.0s"]
+    assert sorted(r.step for r in table.records if r.compressor == "svd") == list(range(1, steps + 1))
+    assert not [r for r in table.records if r.compressor == "random-subspace"]
+    assert task_seconds["random-subspace"] < 0.6 * steps  # its fit time without a timeout

@@ -42,7 +42,9 @@ def test_saved_state_format_and_round_trip(kind, tmp_path):
     with np.load(path) as blob:
         assert list(blob.files) == files
         meta = json.loads(blob["meta"].tobytes().decode())
+        stored_bytes = sum(blob[name].nbytes for name in files if name != "meta")
     assert list(meta) == meta_keys
+    assert fc.state_bytes() == stored_bytes
     assert (meta["kind"], meta["input_dim"], meta["output_dim"]) == (kind, 12, 4)
     loaded = load_fitted(path)
     assert (loaded.kind, loaded.input_dim, loaded.output_dim) == (kind, 12, 4)
