@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from .compressors import CompressorSpec, save_fitted
-from .errors import CompressorError, ConfigError, CoreError
-from .evaluation import EvaluationRecord, epsilon_f1, evaluate_representation
-from .experiment import ExperimentConfig, load_config, run_experiment, write_synthetic_dataset
+from .errors import FAILURES, CompressorError, ConfigError, CoreError
+from .evaluation import EvaluationRecord, evaluate_representation, scored_record
+from .experiment import ExperimentConfig, check_lower_bounds, load_config, run_experiment, write_synthetic_dataset
 from .io import load_embeddings, load_labels, load_manifest, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
@@ -28,12 +28,6 @@ from .report import (
 from .stats import average_ranks, cd_diagram_layout, friedman_test, nemenyi_cd
 
 _MODE_NAMES = {"rec": "recursive", "recursive": "recursive", "dir": "direct", "direct": "direct"}
-
-
-def _opt(args, name: str):
-    """Subcommand flag if given, else the matching global flag."""
-    local = getattr(args, name, None)
-    return local if local is not None else getattr(args, f"global_{name}", None)
 
 
 def _load_spec(path: str) -> CompressorSpec:
@@ -63,7 +57,7 @@ def cmd_synth(args) -> int:
         classes=args.classes,
         rank=args.rank,
         dim=args.dim,
-        seed=_opt(args, "seed") or 0,
+        seed=args.seed,
         separation=args.separation,
         within=args.within,
         noise=args.noise,
@@ -77,9 +71,8 @@ def cmd_synth(args) -> int:
 def cmd_compress(args) -> int:
     e = load_embeddings(args.input, args.format, header=args.header)
     spec = _load_spec(args.spec)
-    seed = _opt(args, "seed")
-    if seed is not None:
-        spec = spec.with_seed(seed)
+    if args.seed is not None:
+        spec = spec.with_seed(args.seed)
     mode = _MODE_NAMES[args.mode]
     schedule = dimension_schedule(e.shape[1], args.kappa)
     out_dir = Path(args.out)
@@ -122,23 +115,11 @@ def cmd_evaluate(args) -> int:
     labels = load_labels(args.labels)
     validate_dataset(e, labels, args.folds)
     validate_dataset(base, labels, args.folds)
-    seed = _opt(args, "seed")
-    seed = 0 if seed is None else seed
-    compressed = evaluate_representation(e, labels, args.folds, args.repeats, seed)
-    baseline = evaluate_representation(base, labels, args.folds, args.repeats, seed)
-    record = EvaluationRecord(
-        dataset=args.name or Path(args.input).stem,
-        representation=args.representation,
-        compressor=args.kind,
-        mode=args.mode,
-        step=args.step,
-        dim=e.shape[1],
-        mean_f1=compressed.mean_f1,
-        std_f1=compressed.std_f1,
-        epsilon_f1=epsilon_f1(compressed.mean_f1, baseline.mean_f1),
-        repeats=args.repeats,
-        extra={"eval_seed": seed, "baseline_mean_f1": baseline.mean_f1},
-    )
+    compressed = evaluate_representation(e, labels, args.folds, args.repeats, args.seed)
+    baseline = evaluate_representation(base, labels, args.folds, args.repeats, args.seed)
+    record = scored_record(args.name or Path(args.input).stem, args.representation, args.kind, args.mode,
+                           args.step, e.shape[1], compressed, baseline.mean_f1, args.repeats,
+                           eval_seed=args.seed, baseline_mean_f1=baseline.mean_f1)
     text = json.dumps(asdict(record), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -148,17 +129,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config_path = _opt(args, "config")
+    config_path = args.config or args.global_config
     if config_path is None:
         raise ConfigError("run requires --config")
-    cfg = load_config(config_path)
-    seed, threads = _opt(args, "seed"), _opt(args, "threads")
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if threads is not None:
-        cfg = replace(cfg, threads=threads)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    overrides = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
+    cfg = replace(load_config(config_path), **{k: v for k, v in overrides.items() if v is not None})
     table = run_experiment(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,10 +172,14 @@ def _rank_input(table: ResultsTable, step: int):
     return average_ranks(scores, tuple(methods), tuple(datasets))
 
 
-def _stats_payload(table: ResultsTable, step: int, alpha: float) -> dict:
+def _ranked(table: ResultsTable, step: int, alpha: float):
+    """Average ranks at ``step``, their Friedman test and the Nemenyi critical difference."""
     ranks = _rank_input(table, step)
-    fried = friedman_test(ranks)
-    cd = nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
+    return ranks, friedman_test(ranks), nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
+
+
+def _stats_payload(table: ResultsTable, step: int, alpha: float) -> dict:
+    ranks, fried, cd = _ranked(table, step, alpha)
     groups = cd_diagram_layout(ranks, cd)
     return {
         "step": step,
@@ -233,9 +212,7 @@ def cmd_report(args) -> int:
     emit_performance_svg(table, out_dir / "performance.svg", margin=margin)
     written = ["results.tsv", "results.json", "performance.svg"]
     try:
-        ranks = _rank_input(table, args.step)
-        friedman_test(ranks)  # post-hoc diagram only where the rank test is defined
-        cd = nemenyi_cd(ranks.n_methods, ranks.n_datasets, args.alpha)
+        ranks, _, cd = _ranked(table, args.step, args.alpha)  # no diagram where the rank test is undefined
         emit_cd_svg(ranks, cd, out_dir / f"cd_step_{args.step}.svg")
         written.append(f"cd_step_{args.step}.svg")
     except CoreError as exc:
@@ -246,10 +223,6 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="core", description=__doc__)
-    parser.add_argument("--seed", type=int, default=None, dest="global_seed",
-                        help="override the seed used by the subcommand")
-    parser.add_argument("--threads", type=int, default=None, dest="global_threads",
-                        help="worker threads for run")
     parser.add_argument("--config", default=None, dest="global_config",
                         help="experiment config JSON (run)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--within", type=float, default=1.0)
     p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="synth")
     p.set_defaults(func=cmd_synth)
@@ -294,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True)
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
     p.add_argument("--representation", default="")
     p.add_argument("--kind", default="external")
@@ -330,11 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # kappa is not among them: dimension_schedule rejects it as a ScheduleError (exit 1).
+        check_lower_bounds({name: getattr(args, name, None) for name in ("folds", "repeats", "seed")})
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CoreError, OSError, np.linalg.LinAlgError) as exc:
+    except FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,6 +63,8 @@ _REGISTRY: dict[str, _Kind] = {
     "neural-large": _neural("large"),
 }
 KINDS = tuple(_REGISTRY)
+# Iteration caps must be at least 1; every other param must be non-negative.
+_COUNTS = ("max_iter", "max_epochs")
 
 
 def number_like(value: Any, default: int | float) -> bool:
@@ -95,6 +97,9 @@ class CompressorSpec:
                 raise CompressorError(
                     f"{self.kind}: param {key!r} must be {type(defaults[key]).__name__}, got {value!r}"
                 )
+            least = 1 if key in _COUNTS else 0
+            if value < least:
+                raise CompressorError(f"{self.kind}: param {key!r} must be >= {least}, got {value!r}")
 
     def with_seed(self, seed: int) -> "CompressorSpec":
         return CompressorSpec(self.kind, seed, dict(self.params))

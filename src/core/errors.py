@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CoreError(Exception):
     """Base class for all errors raised by this package."""
@@ -79,3 +81,8 @@ class StatsError(CoreError):
 
 class ConfigError(CoreError):
     """Bad experiment configuration."""
+
+
+# What a command or a ``core run`` dataset/task reports as a failure instead of a
+# traceback: the package's own errors, unreadable files and numeric breakdowns.
+FAILURES = (CoreError, OSError, np.linalg.LinAlgError)

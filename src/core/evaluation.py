@@ -163,6 +163,13 @@ def epsilon_f1(f1_compressed: float, f1_initial: float) -> float:
     return f1_compressed - f1_initial
 
 
+def scored_record(dataset: str, representation: str, compressor: str, mode: str, step: int, dim: int,
+                  res: EvalResult, baseline_mean: float, repeats: int, **extra) -> EvaluationRecord:
+    """The record of one scored matrix, with its epsilon-F1 against ``baseline_mean``."""
+    return EvaluationRecord(dataset, representation, compressor, mode, step, dim, res.mean_f1, res.std_f1,
+                            epsilon_f1(res.mean_f1, baseline_mean), repeats, extra)
+
+
 def evaluate_matrices(
     matrices: list[np.ndarray],
     labels: Labels,

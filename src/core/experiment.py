@@ -12,13 +12,24 @@ import numpy as np
 
 from . import __version__
 from .compressors import CompressorSpec, default_params, number_like
-from .errors import CompressorError, ConfigError, CoreError
-from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, epsilon_f1, evaluate_matrices, evaluate_representation
+from .errors import FAILURES, CompressorError, ConfigError, CoreError
+from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, scored_record
 from .io import Labels, load_embeddings, load_labels, load_manifest, save_labels, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
 from .report import ResultsTable
 
 MODES = ("recursive", "direct")
+
+# Lower bounds of the config fields; the CLI flags of the same names obey them too.
+LOWER_BOUNDS = {"kappa": 2, "margin": 0, "folds": 2, "repeats": 1, "threads": 1, "seed": 0}
+
+
+def check_lower_bounds(values: dict) -> None:
+    """``ConfigError`` for the first ``LOWER_BOUNDS`` entry that ``values`` falls below; absent or ``None`` passes."""
+    for name, least in LOWER_BOUNDS.items():
+        value = values.get(name)
+        if value is not None and value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +54,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be {type(like).__name__}, got {value!r}")
         if not self.specs:
             raise ConfigError("need at least one compressor spec")
-        for name, least in (("kappa", 2), ("margin", 0), ("folds", 2), ("repeats", 1), ("threads", 1)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        check_lower_bounds(vars(self))
         bad = [m for m in self.modes if m not in MODES]
         if bad or not self.modes:
             raise ConfigError(f"modes must be a non-empty subset of {MODES}, got {self.modes}")
@@ -125,19 +134,8 @@ class _Dataset:
 
 def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, step: int, dim: int,
             res: EvalResult, **extra) -> EvaluationRecord:
-    return EvaluationRecord(
-        dataset=ds.name,
-        representation=ds.representation,
-        compressor=compressor,
-        mode=mode,
-        step=step,
-        dim=dim,
-        mean_f1=res.mean_f1,
-        std_f1=res.std_f1,
-        epsilon_f1=epsilon_f1(res.mean_f1, ds.baseline_mean),
-        repeats=cfg.repeats,
-        extra={"eval_seed": ds.eval_seed, **extra},
-    )
+    return scored_record(ds.name, ds.representation, compressor, mode, step, dim, res, ds.baseline_mean,
+                         cfg.repeats, eval_seed=ds.eval_seed, **extra)
 
 
 def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -> list[EvaluationRecord]:
@@ -181,11 +179,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
             e = load_embeddings(entry.embeddings)
             labels = load_labels(entry.labels)
             validate_dataset(e, labels, cfg.folds)
-        except (CoreError, OSError) as exc:
+            eval_seed = mix64(cfg.seed, idx)
+            base = evaluate_representation(e, labels, cfg.folds, cfg.repeats, eval_seed)
+        except FAILURES as exc:
             errors.append(f"dataset {entry.name}: {exc}")
             continue
-        eval_seed = mix64(cfg.seed, idx)
-        base = evaluate_representation(e, labels, cfg.folds, cfg.repeats, eval_seed)
         ds = _Dataset(idx, entry.name, entry.representation, e, labels, eval_seed, base.mean_f1)
         datasets.append(ds)
         records.append(_record(cfg, ds, "baseline", "none", 0, e.shape[1], base))
@@ -196,7 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         for (ds, si, mode), fut in zip(tasks, futures):
             try:
                 records.extend(fut.result())
-            except (CoreError, np.linalg.LinAlgError) as exc:
+            except FAILURES as exc:
                 errors.append(f"task {ds.name}/{cfg.specs[si].kind}/{mode}: {exc}")
 
     svd, kmeans = default_params("svd"), default_params("cluster-mean")

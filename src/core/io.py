@@ -86,8 +86,10 @@ def load_embeddings(path: str | Path, fmt: str = "binary", header: bool = False)
 
 def _load_binary(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    if len(raw) < 12 or raw[:4] != MAGIC:
+    if raw[:4] != MAGIC:
         raise MatrixFormatError(f"{path}: missing {MAGIC!r} header")
+    if len(raw) < 12:
+        raise MatrixFormatError(f"{path}: truncated header ({len(raw)} bytes, need 12)")
     rows, cols = struct.unpack("<II", raw[4:12])
     if rows < 1 or cols < 1:
         raise MatrixFormatError(f"{path}: invalid shape {rows}x{cols}")

@@ -210,6 +210,10 @@ BAD_SPECS = [
     {"kind": "cluster-mean", "params": {"max_iter": "5"}},
     {"kind": "neural-small", "params": {"max_epochs": "3"}},
     {"kind": "svd", "params": {"oversample": 2.5}},
+    {"kind": "cluster-mean", "params": {"max_iter": 0}},
+    {"kind": "svd", "params": {"oversample": -5}},
+    {"kind": "svd", "params": {"oversample": -100}},
+    {"kind": "neural-small", "params": {"max_epochs": 0}},
 ]
 
 
@@ -228,6 +232,29 @@ def test_run_param_of_wrong_type_exit_two(synth_dir, tmp_path, capsys, spec):
                                     "repeats": 1, "out_dir": str(tmp_path / "results")}))
     assert main(["--config", str(cfg_path), "run"]) == 2
     assert "must be" in capsys.readouterr().err
+
+
+BAD_FLAGS = {
+    "evaluate-repeats-zero": ("evaluate", ["--repeats", "0"], "repeats must be >= 1, got 0"),
+    "evaluate-folds-one": ("evaluate", ["--folds", "1"], "folds must be >= 2, got 1"),
+    "synth-seed-negative": ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    "compress-seed-negative": ("compress", ["--seed", "-1"], "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command, flag, message", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_out_of_range_flag_exit_two(synth_dir, tmp_path, capsys, command, flag, message):
+    (tmp_path / "spec.json").write_text('{"kind": "svd"}')
+    tiny = str(synth_dir / "tiny.core")
+    argv = {
+        "evaluate": ["--input", tiny, "--baseline", tiny, "--labels", str(synth_dir / "tiny.labels")],
+        "synth": ["--docs", "36", "--classes", "3", "--rank", "4", "--dim", "16"],
+        "compress": ["--input", tiny, "--spec", str(tmp_path / "spec.json")],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_unknown_config_key_exit_two(synth_dir, tmp_path, capsys):

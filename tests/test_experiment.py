@@ -207,3 +207,18 @@ def test_task_timeout_stops_the_running_task_and_runs_the_rest(tmp_path, monkeyp
     assert sorted(r.step for r in table.records if r.compressor == "svd") == list(range(1, steps + 1))
     assert not [r for r in table.records if r.compressor == "random-subspace"]
     assert task_seconds["random-subspace"] < 0.6 * steps  # its fit time without a timeout
+
+
+def test_dataset_whose_baseline_cannot_be_scored_is_recorded(tmp_path):
+    from core.io import Labels, save_labels, save_matrix
+
+    # One class passes validate_dataset (3 members per fold) but no classifier can be trained on it.
+    save_matrix(np.random.default_rng(0).standard_normal((12, 8)), tmp_path / "one.core")
+    save_labels(Labels(ids=np.zeros(12, dtype=np.int64), names=("c0",)), tmp_path / "one.labels")
+    valid = write_synthetic_dataset(tmp_path, "valid", docs=36, classes=3, rank=4, dim=16, seed=10)
+    one = {"name": "one", "embeddings": "one.core", "labels": "one.labels", "representation": "synthetic"}
+    (tmp_path / "manifest.json").write_text(json.dumps([one, valid]))
+    table = run_experiment(small_config(tmp_path / "manifest.json"))
+    assert table.meta["errors"] == ["dataset one: need at least 2 classes to train a classifier"]
+    assert {r.dataset for r in table.records} == {"valid"}
+    assert len(table.records) == 1 + 2 * 2 * 3  # baseline + 2 specs x 2 modes x 3 steps

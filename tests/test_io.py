@@ -110,6 +110,13 @@ def test_binary_non_finite_payload(tmp_path):
         load_embeddings(p)
 
 
+def test_binary_truncated_header(tmp_path):
+    p = tmp_path / "m.core"
+    p.write_bytes(b"CORE" + bytes(4))
+    with pytest.raises(MatrixFormatError, match=r"truncated header \(8 bytes, need 12\)"):
+        load_embeddings(p)
+
+
 def test_binary_truncated(tmp_path):
     p = tmp_path / "m.core"
     save_matrix(np.ones((2, 2)), p)

@@ -101,3 +101,21 @@ def test_algorithm_settings_bytes(tmp_path):
         "logreg_c": 1.0,
     }
     assert dumps(run_experiment(cfg).meta["algorithm_settings"]) == dumps(expected)
+
+
+def test_evaluate_output_keys(tmp_path, capsys):
+    from core.cli import main
+
+    write_synthetic_dataset(tmp_path, "tiny", docs=36, classes=3, rank=4, dim=8, seed=1)
+    matrix = str(tmp_path / "tiny.core")
+    assert main(["evaluate", "--input", matrix, "--baseline", matrix, "--labels", str(tmp_path / "tiny.labels"),
+                 "--repeats", "2", "--seed", "5"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert list(record) == sorted([
+        "dataset", "representation", "compressor", "mode", "step", "dim", "mean_f1", "std_f1",
+        "epsilon_f1", "repeats", "extra",
+    ])
+    assert (record["dataset"], record["representation"], record["dim"]) == ("tiny", "", 8)
+    assert (record["compressor"], record["mode"], record["step"], record["repeats"]) == ("external", "external", 1, 2)
+    assert record["extra"] == {"eval_seed": 5, "baseline_mean_f1": record["mean_f1"]}
+    assert record["epsilon_f1"] == 0.0
