@@ -1,8 +1,9 @@
 """Compression algorithms behind a single fit/transform interface.
 
 Every kind is declared by one entry of ``_REGISTRY``: how to fit it, the
-params it accepts with their defaults, and the state class that stores and
-restores its arrays.
+params it accepts with their defaults, the state class that stores and
+restores its arrays, and optionally a check of its params as a whole and the
+work that all fits on one source matrix can share.
 """
 
 from __future__ import annotations
@@ -17,31 +18,44 @@ import numpy as np
 from ..errors import CompressorError
 from .autoencoder import AutoencoderParams, TrainConfig, fit_autoencoder
 from .base import FittedCompressor, transform
-from .cluster import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterState, fit_cluster_aggregate
+from .cluster import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterState, fit_cluster_aggregate, prepare_columns
 from .projection import ProjectionState, fit_sparse_projection, projection_density
 from .subspace import SubspaceState, fit_random_subspace, random_subspace
-from .svd import DEFAULT_OVERSAMPLE, DEFAULT_POWER_ITERS, SvdState, exact_truncated_svd, fit_svd, randomized_truncated_svd
+from .svd import (
+    DEFAULT_OVERSAMPLE,
+    DEFAULT_POWER_ITERS,
+    SvdState,
+    exact_truncated_svd,
+    fit_svd,
+    randomized_truncated_svd,
+    thin_svd,
+)
 
 
 class _Kind(NamedTuple):
-    fit: Callable[[np.ndarray, int, int, dict[str, Any]], FittedCompressor]  # (e, d_out, seed, params)
+    fit: Callable[..., FittedCompressor]  # (e, d_out, seed, params, prepared)
     params: dict[str, Any]  # accepted params and their defaults; a value must match its default's type
     state: type
+    check: Callable[[dict[str, Any]], object] | None = None  # raises CompressorError for params out of range
+    # (e, dims) -> what every fit on e to one of dims can share, or None; fit receives it as ``prepared``
+    prepare: Callable[[np.ndarray, tuple[int, ...]], Any] | None = None
 
 
 def _cluster(agg: str) -> _Kind:
     return _Kind(
-        lambda e, d, seed, p: fit_cluster_aggregate(e, d, agg, seed, **p),
+        lambda e, d, seed, p, table: fit_cluster_aggregate(e, d, agg, seed, **p, table=table),
         {"max_iter": DEFAULT_MAX_ITER, "tol": DEFAULT_TOL},
         ClusterState,
+        prepare=prepare_columns,
     )
 
 
 def _neural(size: str) -> _Kind:
     return _Kind(
-        lambda e, d, seed, p: fit_autoencoder(e, d, size, seed, TrainConfig(**p)),
+        lambda e, d, seed, p, _: fit_autoencoder(e, d, size, seed, TrainConfig(**p)),
         asdict(TrainConfig()),
         AutoencoderParams,
+        check=lambda p: TrainConfig(**p),
     )
 
 
@@ -49,13 +63,17 @@ def _neural(size: str) -> _Kind:
 # module at call time, where tests can replace them.
 _REGISTRY: dict[str, _Kind] = {
     "svd": _Kind(
-        lambda e, d, seed, p: fit_svd(e, d, "randomized", seed, **p),
+        lambda e, d, seed, p, _: fit_svd(e, d, "randomized", seed, **p),
         {"oversample": DEFAULT_OVERSAMPLE, "power_iters": DEFAULT_POWER_ITERS},
         SvdState,
     ),
-    "svd-exact": _Kind(lambda e, d, seed, p: fit_svd(e, d, "exact", seed), {}, SvdState),
-    "sparse-projection": _Kind(lambda e, d, seed, p: fit_sparse_projection(e.shape[1], d, seed), {}, ProjectionState),
-    "random-subspace": _Kind(lambda e, d, seed, p: fit_random_subspace(e.shape[1], d, seed), {}, SubspaceState),
+    "svd-exact": _Kind(
+        lambda e, d, seed, p, thin: fit_svd(e, d, "exact", seed, thin=thin), {}, SvdState, prepare=thin_svd
+    ),
+    "sparse-projection": _Kind(
+        lambda e, d, seed, p, _: fit_sparse_projection(e.shape[1], d, seed), {}, ProjectionState
+    ),
+    "random-subspace": _Kind(lambda e, d, seed, p, _: fit_random_subspace(e.shape[1], d, seed), {}, SubspaceState),
     "cluster-max": _cluster("max"),
     "cluster-mean": _cluster("mean"),
     "cluster-median": _cluster("median"),
@@ -88,7 +106,8 @@ class CompressorSpec:
             raise CompressorError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.params, dict):
             raise CompressorError(f"{self.kind}: params must be an object, got {self.params!r}")
-        defaults = _REGISTRY[self.kind].params
+        kind = _REGISTRY[self.kind]
+        defaults = kind.params
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise CompressorError(f"{self.kind}: unknown params {sorted(unknown)}")
@@ -100,6 +119,8 @@ class CompressorSpec:
             least = 1 if key in _COUNTS else 0
             if value < least:
                 raise CompressorError(f"{self.kind}: param {key!r} must be >= {least}, got {value!r}")
+        if kind.check is not None:
+            kind.check(self.params)
 
     def with_seed(self, seed: int) -> "CompressorSpec":
         return CompressorSpec(self.kind, seed, dict(self.params))
@@ -110,10 +131,24 @@ def default_params(kind: str) -> dict[str, Any]:
     return dict(_REGISTRY[kind].params)
 
 
-def fit(spec: CompressorSpec, e: np.ndarray, d_out: int) -> FittedCompressor:
-    """Fit the compressor described by ``spec`` on ``e`` for the target dimension."""
+def prepare(spec: CompressorSpec, e: np.ndarray, dims: tuple[int, ...]) -> Any:
+    """The work that every fit of ``spec``'s kind on ``e`` to one of ``dims`` can share, or None."""
+    hook = _REGISTRY[spec.kind].prepare
+    return None if hook is None else hook(np.asarray(e, dtype=np.float64), tuple(dims))
+
+
+def fit(spec: CompressorSpec, e: np.ndarray, d_out: int, prepared: Any = None) -> FittedCompressor:
+    """Fit the compressor described by ``spec`` on ``e`` for the target dimension.
+
+    ``prepared`` is ``prepare(spec, e, dims)`` for dims that include ``d_out``;
+    when it is None, the fit prepares for ``d_out`` alone. The output is the same
+    bit for bit either way.
+    """
     e = np.asarray(e, dtype=np.float64)
-    return _REGISTRY[spec.kind].fit(e, d_out, spec.seed, spec.params)
+    kind = _REGISTRY[spec.kind]
+    if prepared is None and kind.prepare is not None:
+        prepared = kind.prepare(e, (d_out,))
+    return kind.fit(e, d_out, spec.seed, spec.params, prepared)
 
 
 def save_fitted(fc: FittedCompressor, path: str | Path) -> None:
@@ -141,6 +176,7 @@ __all__ = [
     "TrainConfig",
     "default_params",
     "number_like",
+    "prepare",
     "fit",
     "transform",
     "save_fitted",

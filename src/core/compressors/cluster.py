@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,9 @@ from .base import FittedCompressor
 AGGREGATIONS = ("max", "mean", "median")
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
+# A distance-table tile is a square block of point pairs whose (tile, tile, coords)
+# difference array fits in this many bytes, so its data stays in cache.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -20,11 +24,15 @@ class ClusterState:
     agg: str
 
     def apply(self, e: np.ndarray) -> np.ndarray:
-        k = int(self.assignment.max()) + 1
-        out = np.empty((e.shape[0], k))
+        # One gather puts each cluster's columns side by side in their original
+        # order, so a cluster reduces over the same values as e[:, assignment == c].
+        grouped = e[:, np.argsort(self.assignment, kind="stable")]
+        counts = np.bincount(self.assignment)
+        ends = np.cumsum(counts)
+        out = np.empty((e.shape[0], len(counts)))
         reduce = {"max": np.max, "mean": np.mean, "median": np.median}[self.agg]
-        for c in range(k):
-            out[:, c] = reduce(e[:, self.assignment == c], axis=1)
+        for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
+            out[:, c] = reduce(grouped[:, lo:hi], axis=1)
         return out
 
     def to_arrays(self) -> tuple[dict, dict]:
@@ -35,10 +43,43 @@ class ClusterState:
         return cls(blob["assignment"], meta["agg"])
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def distance_table(points: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances between rows, equal bit for bit to ``np.sum((points - points[i]) ** 2, axis=1)``.
+
+    Each tile subtracts, squares and sums every coordinate row in the same order
+    as that expression; ``(a - b) ** 2 == (b - a) ** 2`` lets one triangle fill both.
+    """
+    n = points.shape[0]
+    tile = max(1, math.isqrt(_TILE_BYTES // max(points[:1].nbytes, 1)))
+    table = np.empty((n, n))
+    for lo in range(0, n, tile):
+        cols = points[lo : lo + tile]
+        hi = lo + len(cols)
+        for top in range(0, hi, tile):
+            rows = points[top : top + tile]
+            block = np.sum((cols - rows[:, None]) ** 2, axis=2)
+            table[top : top + len(rows), lo:hi] = block
+            table[lo:hi, top : top + len(rows)] = block.T
+    return table
+
+
+def prepare_columns(e: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
+    """The column distance table when fits on ``e`` to ``dims`` draw at least half as many centres as it has columns.
+
+    Below that, computing one distance row per centre costs less than the table's triangle.
+    """
+    if 2 * sum(dims) < e.shape[1]:
+        return None
+    return distance_table(e.T.copy())
+
+
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, table: np.ndarray | None = None) -> np.ndarray:
+    def sq_distances_to(i: int) -> np.ndarray:
+        return np.sum((points - points[i]) ** 2, axis=1) if table is None else table[i]
+
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    d2 = sq_distances_to(chosen[0])
     for _ in range(k - 1):
         total = d2.sum()
         if total <= 0:
@@ -48,7 +89,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        d2 = np.minimum(d2, sq_distances_to(idx))
     return points[chosen].copy()
 
 
@@ -68,15 +109,18 @@ def kmeans_columns(
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lloyd iterations from a k-means++ start; returns the assignment vector.
+
+    ``table`` is ``distance_table(points)``; without it, seeding computes the rows it reads.
 
     Empty clusters are repaired each round by moving in the point currently
     farthest from its assigned center, taken from a cluster with another
     member, so the final partition always has k non-empty clusters.
     """
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng)
+    centers = _kmeans_pp_init(points, k, rng, table)
     prev_inertia = np.inf
     assignment = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(max_iter):
@@ -105,11 +149,13 @@ def fit_cluster_aggregate(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
+    table: np.ndarray | None = None,
 ) -> FittedCompressor:
+    """``table`` is ``prepare_columns(e, dims)`` for dims that include ``d_out``."""
     e = np.asarray(e, dtype=np.float64)
     if not 1 <= d_out <= e.shape[1]:
         raise CompressorError(f"d_out must be in [1, {e.shape[1]}], got {d_out}")
     if agg not in AGGREGATIONS:
         raise CompressorError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
-    assignment = kmeans_columns(e.T.copy(), d_out, seed, max_iter, tol)
+    assignment = kmeans_columns(e.T.copy(), d_out, seed, max_iter, tol, table)
     return FittedCompressor(f"cluster-{agg}", e.shape[1], d_out, ClusterState(assignment, agg))

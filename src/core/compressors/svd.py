@@ -30,9 +30,25 @@ class SvdState:
         return cls(blob["components"], blob["singular_values"])
 
 
-def exact_truncated_svd(e: np.ndarray, d_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leading d_out right singular vectors and singular values via full SVD."""
+def _check_dim(e: np.ndarray, d_out: int) -> None:
+    limit = min(e.shape)
+    if not 1 <= d_out <= limit:
+        raise CompressorError(f"d_out must be in [1, {limit}] for a {e.shape[0]}x{e.shape[1]} matrix, got {d_out}")
+
+
+def thin_svd(e: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors ``(s, vt)`` of ``e``, shared by exact fits to ``dims``."""
+    for d_out in dims:
+        _check_dim(e, d_out)
     _, s, vt = np.linalg.svd(e, full_matrices=False)
+    return s, vt
+
+
+def exact_truncated_svd(
+    e: np.ndarray, d_out: int, thin: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leading d_out right singular vectors and singular values of the full SVD ``thin`` (computed when None)."""
+    s, vt = thin_svd(e, (d_out,)) if thin is None else thin
     return vt[:d_out].T.copy(), s[:d_out].copy()
 
 
@@ -64,13 +80,13 @@ def fit_svd(
     seed: int = 0,
     oversample: int = DEFAULT_OVERSAMPLE,
     power_iters: int = DEFAULT_POWER_ITERS,
+    thin: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FittedCompressor:
+    """``thin`` is ``thin_svd(e, dims)`` for dims that include ``d_out``; only the exact mode reads it."""
     e = np.asarray(e, dtype=np.float64)
-    limit = min(e.shape)
-    if not 1 <= d_out <= limit:
-        raise CompressorError(f"d_out must be in [1, {limit}] for a {e.shape[0]}x{e.shape[1]} matrix, got {d_out}")
+    _check_dim(e, d_out)
     if mode == "exact":
-        components, sv = exact_truncated_svd(e, d_out)
+        components, sv = exact_truncated_svd(e, d_out, thin)
     elif mode == "randomized":
         components, sv = randomized_truncated_svd(e, d_out, seed, oversample, power_iters)
     else:

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compressors import CompressorSpec, FittedCompressor, fit, transform
+from .compressors import CompressorSpec, FittedCompressor, fit, prepare, transform
 from .errors import CompressionStepError, CoreError, ScheduleError
 
 _MASK64 = (1 << 64) - 1
@@ -94,12 +94,18 @@ def _run(
         raise ScheduleError(f"matrix has {e0.shape[1]} columns but schedule starts at d0={schedule.d0}")
     steps: list[StepResult] = []
     current = e0
+    prepared = None
     for i, dim in enumerate(schedule.dims, start=1):
         step_seed = mix64(spec.seed, i)
         source = current if mode == "recursive" else e0
         start = time.perf_counter()
         try:
-            fc = fit(spec.with_seed(step_seed), source, dim)
+            if mode == "direct" and i == 1:
+                # Every direct step fits on e0: the work they share is done once, in step 1's time.
+                prepared = prepare(spec, e0, schedule.dims)
+            # Without shared work the call keeps fit's three-argument form, which wrappers of it rely on.
+            args = (spec.with_seed(step_seed), source, dim)
+            fc = fit(*args) if prepared is None else fit(*args, prepared)
             out = transform(fc, source)
         except CoreError as exc:
             raise CompressionStepError(i, exc) from exc

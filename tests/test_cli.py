@@ -348,3 +348,38 @@ def test_duplicate_score_is_an_error_not_a_silent_overwrite(tmp_path, capsys):
     assert main(["report", "--records", records, "--out", str(tmp_path / "report"), "--step", "1"]) == 0
     assert "skipping CD diagram: duplicate score" in capsys.readouterr().err
     assert not (tmp_path / "report" / "cd_step_1.svg").exists()
+
+
+TRAIN_RANGE_SPECS = {
+    "bn-eps-zero": ({"kind": "neural-small", "params": {"bn_eps": 0}}, "bn_eps must be > 0, got 0"),
+    "dropout-one": ({"kind": "neural-large", "params": {"dropout_rate": 1.0}}, "dropout_rate must be in [0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("spec, message", TRAIN_RANGE_SPECS.values(), ids=TRAIN_RANGE_SPECS.keys())
+def test_autoencoder_param_out_of_train_range_exit_two(synth_dir, tmp_path, capsys, spec, message):
+    # TrainConfig's ranges are checked when the spec is read, before any fit runs.
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "steps")]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+    assert not (tmp_path / "steps").exists()
+    (tmp_path / "cfg.json").write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [spec],
+                                                    "repeats": 1, "out_dir": str(tmp_path / "results")}))
+    assert main(["--config", str(tmp_path / "cfg.json"), "run"]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("mode", ["rec", "dir"])
+def test_compress_exact_svd_fewer_docs_than_first_dim_exit_one(tmp_path, capsys, mode):
+    # In direct mode the shared SVD of a 100x384 input has only 100 components;
+    # step 1 must still reject d_out 192, not slice a short state.
+    from core.io import save_matrix
+
+    save_matrix(np.random.default_rng(0).standard_normal((100, 384)), tmp_path / "short.core")
+    (tmp_path / "spec.json").write_text('{"kind": "svd-exact"}')
+    assert main(["compress", "--input", str(tmp_path / "short.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--mode", mode, "--out", str(tmp_path / "steps"), "--save-states"]) == 1
+    assert capsys.readouterr().err == "error: step 1: d_out must be in [1, 100] for a 100x384 matrix, got 192\n"
+    assert not list((tmp_path / "steps").glob("state_*.npz"))

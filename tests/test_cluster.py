@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from core.compressors import fit_cluster_aggregate, transform
+from core.compressors import CompressorSpec, cluster, fit, fit_cluster_aggregate, transform
 from core.errors import CompressorError
 
 
@@ -91,3 +91,93 @@ def test_agg_and_range_validation():
         fit_cluster_aggregate(e, 4, "mean", seed=0)
     with pytest.raises(CompressorError):
         fit_cluster_aggregate(e, 2, "sum", seed=0)
+
+
+# Oracles: k-means++ seeding and aggregation as written before the distance table
+# and the one-gather aggregation, kept verbatim so the new paths are checked bit for bit.
+def oracle_kmeans_pp_init(points, k, rng, table=None):
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(k - 1):
+        total = d2.sum()
+        if total <= 0:
+            remaining = np.setdiff1d(np.arange(n), chosen)
+            idx = int(rng.choice(remaining))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+def oracle_apply(self, e):
+    k = int(self.assignment.max()) + 1
+    out = np.empty((e.shape[0], k))
+    reduce = {"max": np.max, "mean": np.mean, "median": np.median}[self.agg]
+    for c in range(k):
+        out[:, c] = reduce(e[:, self.assignment == c], axis=1)
+    return out
+
+
+def _inputs():
+    """Matrices whose columns are the clustered points: generic, rank-1, duplicate and constant columns."""
+    rng = np.random.default_rng(21)
+    generic = rng.standard_normal((30, 41)) * np.linspace(0.1, 4.0, 41)
+    rank1 = np.outer(rng.standard_normal(30), rng.standard_normal(41))
+    duplicate = np.tile(rng.standard_normal((30, 1)), (1, 41))
+    constant = np.tile(rng.standard_normal(41), (30, 1))  # every column constant, values differ
+    zeros = np.zeros((30, 41))
+    return {"generic": generic, "rank1": rank1, "duplicate": duplicate, "constant": constant, "zeros": zeros}
+
+
+# 3-column tiles leave a partial tile at 41 columns; the default tile covers them all at once.
+TILE_BYTES = {"tile3": 9 * 8 * 30, "default": cluster._TILE_BYTES}
+
+
+@pytest.mark.parametrize("tile_bytes", TILE_BYTES.values(), ids=TILE_BYTES.keys())
+@pytest.mark.parametrize("name", _inputs())
+def test_distance_table_rows_equal_per_row_expression(monkeypatch, tile_bytes, name):
+    monkeypatch.setattr(cluster, "_TILE_BYTES", tile_bytes)
+    points = _inputs()[name].T.copy()
+    rows = np.stack([np.sum((points - points[i]) ** 2, axis=1) for i in range(len(points))])
+    assert cluster.distance_table(points).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("tile_bytes", TILE_BYTES.values(), ids=TILE_BYTES.keys())
+@pytest.mark.parametrize("name", _inputs())
+def test_kmeans_pp_centres_equal_oracle(monkeypatch, tile_bytes, name):
+    monkeypatch.setattr(cluster, "_TILE_BYTES", tile_bytes)
+    points = _inputs()[name].T.copy()
+    table = cluster.distance_table(points)
+    for k in (1, 2, 7, 20, 41):
+        for seed in (0, 5):
+            want = oracle_kmeans_pp_init(points, k, np.random.default_rng(seed)).tobytes()
+            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed), table).tobytes() == want
+            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed)).tobytes() == want
+
+
+@pytest.mark.parametrize("agg", ["max", "mean", "median"])
+@pytest.mark.parametrize("name", _inputs())
+def test_fit_and_apply_equal_oracle(monkeypatch, agg, name):
+    e = _inputs()[name]
+    spec = CompressorSpec(f"cluster-{agg}")
+    for k in (1, 3, 20, 21, 41):  # fit prepares for k alone: row by row while 2 * k < 41, then from the table
+        got = fit(spec.with_seed(k), e, k)
+        out = transform(got, e)
+        with monkeypatch.context() as m:
+            m.setattr(cluster, "_kmeans_pp_init", oracle_kmeans_pp_init)
+            m.setattr(cluster.ClusterState, "apply", oracle_apply)
+            want = fit_cluster_aggregate(e, k, agg, seed=k)
+            assert got.state.assignment.tobytes() == want.state.assignment.tobytes()
+            assert out.tobytes() == transform(want, e).tobytes()
+
+
+@pytest.mark.parametrize("agg", ["max", "mean", "median"])
+def test_apply_equals_oracle_on_wide_clusters(agg):
+    # Clusters of 9 to 200 columns, where numpy's pairwise summation blocks matter.
+    rng = np.random.default_rng(8)
+    e = rng.standard_normal((17, 400)) * 1e3
+    assignment = rng.permutation(np.repeat(np.arange(4), [9, 64, 127, 200]))
+    state = cluster.ClusterState(assignment, agg)
+    assert state.apply(e).tobytes() == oracle_apply(state, e).tobytes()

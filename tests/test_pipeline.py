@@ -220,3 +220,58 @@ def test_retained_memory_bound():
         run = compress_recursive(e0, CompressorSpec("random-subspace", seed=0), schedule)
         retained = sum(s.output.size for s in run.steps)
         assert retained < e0.size * kappa / (kappa - 1)
+
+
+def _npz_members(path):
+    with np.load(path) as blob:
+        return {name: blob[name].tobytes() for name in blob.files}
+
+
+SHARED_WORK_KINDS = ("svd-exact", "cluster-max", "cluster-mean", "cluster-median")
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4])
+@pytest.mark.parametrize("kind", SHARED_WORK_KINDS)
+def test_direct_shared_work_equals_independent_fits(tmp_path, kind, kappa):
+    # Direct mode prepares once on e0 for the whole schedule; each step must equal
+    # a fit that prepares for its own dimension alone, output and state bit for bit.
+    rng = np.random.default_rng(9)
+    e0 = rng.standard_normal((40, 54)) * np.linspace(0.5, 3.0, 54)
+    spec = CompressorSpec(kind, seed=4)
+    schedule = dimension_schedule(54, kappa)
+
+    def save_state(i, dim, out, fc):
+        save_fitted(fc, tmp_path / f"direct_{i}.npz")
+
+    run = compress_direct(e0, spec, schedule, on_step=save_state)
+    for step in run.steps:
+        fc = fit(spec.with_seed(step.seed), e0, step.dim)
+        assert transform(fc, e0).tobytes() == step.output.tobytes()
+        save_fitted(fc, tmp_path / f"alone_{step.step}.npz")
+        assert _npz_members(tmp_path / f"alone_{step.step}.npz") == _npz_members(tmp_path / f"direct_{step.step}.npz")
+
+
+def _degenerate_inputs():
+    rng = np.random.default_rng(10)
+    return {
+        "rank1": np.outer(rng.standard_normal(24), rng.standard_normal(32)),
+        "constant-columns": np.tile(rng.standard_normal(32), (24, 1)),
+        "zeros": np.zeros((24, 32)),
+    }
+
+
+@pytest.mark.parametrize("name", _degenerate_inputs())
+@pytest.mark.parametrize("kind", SHARED_WORK_KINDS[1:])
+@pytest.mark.parametrize("compress", [compress_recursive, compress_direct])
+def test_degenerate_cluster_runs_equal_oracle(monkeypatch, name, kind, compress):
+    from core.compressors import cluster
+    from test_cluster import oracle_apply, oracle_kmeans_pp_init
+
+    e0 = _degenerate_inputs()[name]
+    spec = CompressorSpec(kind, seed=3)
+    schedule = dimension_schedule(32, 2)
+    got = compress(e0, spec, schedule)
+    monkeypatch.setattr(cluster, "_kmeans_pp_init", oracle_kmeans_pp_init)
+    monkeypatch.setattr(cluster.ClusterState, "apply", oracle_apply)
+    want = compress(e0, spec, schedule)
+    assert [s.output.tobytes() for s in got.steps] == [s.output.tobytes() for s in want.steps]
