@@ -9,11 +9,12 @@ modes at ``--threads`` 1 and 2; ``stats``, ``report`` and ``evaluate``; and
 one ``compress`` that must fail. The exit code, stdout and stderr of each
 command are compared too (``log.txt``).
 
-Before hashing, ``seconds`` in ``run.json`` are zeroed, absolute paths are
-dropped from the ``meta`` of ``results.json``, and a ``.npz`` is hashed over its
-members' names and bytes (the zip stores write times).
+Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
+flow's own directory in ``results.json`` (the prefix of the absolute paths in its
+``meta``) by ``<out>``, and a ``.npz`` is hashed over its members' names and bytes
+(the zip stores write times). Every other byte is compared as written.
 
-Usage: python scripts/bit_identity.py BASE_SRC HEAD_SRC [--keep DIR]
+Usage: python scripts/bit_identity.py BASE_SRC HEAD_SRC
 
 ``BASE_SRC`` and ``HEAD_SRC`` are each a checkout or its ``src`` directory.
 Exit 0 when every file matches, 1 on any difference.
@@ -27,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -112,29 +114,23 @@ def run_flow(out: Path) -> None:
             log.write(f"$ core {' '.join(cmd)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
 
 
-def _normalized(path: Path) -> bytes:
+def _normalized(path: Path, root: Path) -> bytes:
     if path.suffix == ".npz":
         with zipfile.ZipFile(path) as z:
             return b"".join(name.encode() + b"\0" + z.read(name) for name in sorted(z.namelist()))
     data = path.read_bytes()
     if path.name == "run.json":
-        meta = json.loads(data)
-        for step in meta["steps"]:
-            step["seconds"] = 0.0
-        return json.dumps(meta, sort_keys=True).encode()
+        return re.sub(rb'("seconds": )[^,\n}]+', rb"\g<1>0", data)
     if path.name == "results.json":
-        table = json.loads(data)
-        config = table.get("meta", {}).get("config", {})
-        for key in [k for k, v in config.items() if isinstance(v, str) and os.path.isabs(v)]:
-            del config[key]
-        return json.dumps(table, sort_keys=True).encode()
+        return data.replace(str(root).encode(), b"<out>")
     return data
 
 
 def digests(root: Path) -> dict[str, str]:
     """sha256 of every file under ``root`` after normalization, keyed by relative path."""
+    root = root.resolve()
     return {
-        p.relative_to(root).as_posix(): hashlib.sha256(_normalized(p)).hexdigest()
+        p.relative_to(root).as_posix(): hashlib.sha256(_normalized(p, root)).hexdigest()
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
@@ -161,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src")
     parser.add_argument("head_src")
-    parser.add_argument("--keep", default=None, help="write both flows' outputs under this directory and keep them")
     parser.add_argument("--flow", default=None, help=argparse.SUPPRESS)  # internal: run the flow into this directory
     args = parser.parse_args(argv)
     if args.flow:
@@ -173,10 +168,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(args.keep or tmp).resolve()
+        work = Path(tmp).resolve()
         for side, tree in (("base", args.base_src), ("head", args.head_src)):
             out = work / side
-            out.mkdir(parents=True)
+            out.mkdir()
             env = dict(os.environ, PYTHONPATH=str(_src_dir(tree)), **PINNED)
             subprocess.run([sys.executable, str(Path(__file__).resolve()), tree, tree, "--flow", str(out)],
                            env=env, check=True)

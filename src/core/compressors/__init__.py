@@ -43,7 +43,7 @@ class _Kind(NamedTuple):
 
 def _cluster(agg: str) -> _Kind:
     return _Kind(
-        lambda e, d, seed, p, table: fit_cluster_aggregate(e, d, agg, seed, **p, table=table),
+        lambda e, d, seed, p, rows: fit_cluster_aggregate(e, d, agg, seed, **p, rows=rows),
         {"max_iter": DEFAULT_MAX_ITER, "tol": DEFAULT_TOL},
         ClusterState,
         prepare=prepare_columns,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,9 +12,8 @@ from .base import FittedCompressor
 AGGREGATIONS = ("max", "mean", "median")
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
-# A distance-table tile is a square block of point pairs whose (tile, tile, coords)
-# difference array fits in this many bytes, so its data stays in cache.
-_TILE_BYTES = 1 << 20
+# DistanceRows sums distances for as many points at a time as fit in this many bytes.
+_TILE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -43,43 +41,48 @@ class ClusterState:
         return cls(blob["assignment"], meta["agg"])
 
 
-def distance_table(points: np.ndarray) -> np.ndarray:
-    """(n, n) squared distances between rows, equal bit for bit to ``np.sum((points - points[i]) ** 2, axis=1)``.
+class DistanceRows:
+    """Squared distances between the rows of ``points``, each row computed when first read.
 
-    Each tile subtracts, squares and sums every coordinate row in the same order
-    as that expression; ``(a - b) ** 2 == (b - a) ** 2`` lets one triangle fill both.
+    Row ``i`` equals ``np.sum((points - points[i]) ** 2, axis=1)`` bit for bit: every
+    entry is the same subtract, square and contiguous row sum. Entries whose mirror is
+    already known are copied from it, since ``(a - b) ** 2 == (b - a) ** 2``, so no pair
+    is summed twice however many seedings read the rows. The rest are summed a tile of
+    points at a time, in place, so the tile's data stays in cache.
     """
-    n = points.shape[0]
-    tile = max(1, math.isqrt(_TILE_BYTES // max(points[:1].nbytes, 1)))
-    table = np.empty((n, n))
-    for lo in range(0, n, tile):
-        cols = points[lo : lo + tile]
-        hi = lo + len(cols)
-        for top in range(0, hi, tile):
-            rows = points[top : top + tile]
-            block = np.sum((cols - rows[:, None]) ** 2, axis=2)
-            table[top : top + len(rows), lo:hi] = block
-            table[lo:hi, top : top + len(rows)] = block.T
-    return table
+
+    def __init__(self, points: np.ndarray):
+        n = points.shape[0]
+        self.points = points
+        self._tile = max(1, _TILE_BYTES // max(points[:1].nbytes, 1))
+        self._table = np.empty((n, n))
+        self._known = np.zeros(n, dtype=bool)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = self._table[i]
+        known = self._known
+        if not known[i]:
+            row[known] = self._table[known, i]
+            todo = np.flatnonzero(~known)
+            for lo in range(0, len(todo), self._tile):
+                idx = todo[lo : lo + self._tile]
+                block = self.points[idx]
+                block -= self.points[i]
+                np.square(block, out=block)
+                row[idx] = block.sum(axis=1)
+            known[i] = True
+        return row
 
 
-def prepare_columns(e: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
-    """The column distance table when fits on ``e`` to ``dims`` draw at least half as many centres as it has columns.
-
-    Below that, computing one distance row per centre costs less than the table's triangle.
-    """
-    if 2 * sum(dims) < e.shape[1]:
-        return None
-    return distance_table(e.T.copy())
+def prepare_columns(e: np.ndarray, dims: tuple[int, ...]) -> DistanceRows:
+    """The column distance rows that every seeding on ``e`` reads, whichever of ``dims`` it fits."""
+    return DistanceRows(e.T.copy())
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, table: np.ndarray | None = None) -> np.ndarray:
-    def sq_distances_to(i: int) -> np.ndarray:
-        return np.sum((points - points[i]) ** 2, axis=1) if table is None else table[i]
-
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, rows: DistanceRows) -> np.ndarray:
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = sq_distances_to(chosen[0])
+    d2 = rows[chosen[0]]
     for _ in range(k - 1):
         total = d2.sum()
         if total <= 0:
@@ -89,7 +92,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator, table:
         else:
             idx = int(rng.choice(n, p=d2 / total))
         chosen.append(idx)
-        d2 = np.minimum(d2, sq_distances_to(idx))
+        d2 = np.minimum(d2, rows[idx])
     return points[chosen].copy()
 
 
@@ -109,18 +112,19 @@ def kmeans_columns(
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    table: np.ndarray | None = None,
+    rows: DistanceRows | None = None,
 ) -> np.ndarray:
     """Lloyd iterations from a k-means++ start; returns the assignment vector.
 
-    ``table`` is ``distance_table(points)``; without it, seeding computes the rows it reads.
+    ``rows`` is ``DistanceRows(points)``, which other seedings on the same points may
+    already have read; without it, seeding starts a fresh one.
 
     Empty clusters are repaired each round by moving in the point currently
     farthest from its assigned center, taken from a cluster with another
     member, so the final partition always has k non-empty clusters.
     """
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng, table)
+    centers = _kmeans_pp_init(points, k, rng, DistanceRows(points) if rows is None else rows)
     prev_inertia = np.inf
     assignment = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(max_iter):
@@ -149,13 +153,13 @@ def fit_cluster_aggregate(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    table: np.ndarray | None = None,
+    rows: DistanceRows | None = None,
 ) -> FittedCompressor:
-    """``table`` is ``prepare_columns(e, dims)`` for dims that include ``d_out``."""
+    """``rows`` is ``prepare_columns(e, dims)``, shared by the fits on ``e``."""
     e = np.asarray(e, dtype=np.float64)
     if not 1 <= d_out <= e.shape[1]:
         raise CompressorError(f"d_out must be in [1, {e.shape[1]}], got {d_out}")
     if agg not in AGGREGATIONS:
         raise CompressorError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
-    assignment = kmeans_columns(e.T.copy(), d_out, seed, max_iter, tol, table)
+    assignment = kmeans_columns(e.T.copy(), d_out, seed, max_iter, tol, rows)
     return FittedCompressor(f"cluster-{agg}", e.shape[1], d_out, ClusterState(assignment, agg))

@@ -13,18 +13,21 @@ _spec.loader.exec_module(bit_identity)
 
 
 def _tree(root: Path, seconds: float, manifest: str) -> Path:
+    # Written in the program's own formats: run.json in insertion order, results.json with sorted keys.
     (root / "steps").mkdir(parents=True)
     (root / "steps" / "step_1.core").write_bytes(bytes(range(64)))
-    (root / "steps" / "run.json").write_text(json.dumps({"steps": [{"step": 1, "seconds": seconds}]}))
+    run = {"step": 1, "dim": 16, "seconds": seconds}
+    (root / "steps" / "run.json").write_text(json.dumps({"steps": [run]}, indent=2) + "\n")
     np.savez(root / "steps" / "state_1.npz", components=np.arange(6.0))
-    (root / "results.json").write_text(json.dumps({"meta": {"config": {"manifest": manifest, "seed": 1}}}))
+    results = {"meta": {"config": {"manifest": str(root.resolve() / manifest), "seed": 1}}}
+    (root / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return root
 
 
 def test_identical_trees_pass(tmp_path):
-    # Step times, absolute config paths and zip write times are not compared.
-    base = _tree(tmp_path / "base", 0.5, "/one/place/manifest.json")
-    head = _tree(tmp_path / "head", 2.5, "/another/manifest.json")
+    # Step times, each flow's own directory in config paths and zip write times are not compared.
+    base = _tree(tmp_path / "base", 0.5, "data/manifest.json")
+    head = _tree(tmp_path / "head", 2.5, "data/manifest.json")
     npz = head / "steps" / "state_1.npz"
     with zipfile.ZipFile(npz) as z:
         members = {name: z.read(name) for name in z.namelist()}
@@ -54,3 +57,13 @@ def test_missing_file_and_relative_config_path_differ(tmp_path):
     head = _tree(tmp_path / "head", 0.5, "other/manifest.json")
     (head / "steps" / "state_1.npz").unlink()
     assert bit_identity.compare(base, head, io.StringIO()) == ["results.json", "steps/state_1.npz"]
+
+
+def test_json_key_order_and_layout_differ(tmp_path):
+    base = _tree(tmp_path / "base", 0.5, "data/manifest.json")
+    head = _tree(tmp_path / "head", 0.5, "data/manifest.json")
+    reordered = {"steps": [{"seconds": 0.5, "step": 1, "dim": 16}]}
+    (head / "steps" / "run.json").write_text(json.dumps(reordered, indent=2) + "\n")
+    results = json.loads((head / "results.json").read_text())
+    (head / "results.json").write_text(json.dumps(results, sort_keys=True) + "\n")
+    assert bit_identity.compare(base, head, io.StringIO()) == ["results.json", "steps/run.json"]

@@ -93,9 +93,9 @@ def test_agg_and_range_validation():
         fit_cluster_aggregate(e, 2, "sum", seed=0)
 
 
-# Oracles: k-means++ seeding and aggregation as written before the distance table
-# and the one-gather aggregation, kept verbatim so the new paths are checked bit for bit.
-def oracle_kmeans_pp_init(points, k, rng, table=None):
+# Oracles: k-means++ seeding and aggregation as written before DistanceRows and the
+# one-gather aggregation, kept verbatim so the new paths are checked bit for bit.
+def oracle_kmeans_pp_init(points, k, rng, rows=None):
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
@@ -121,40 +121,62 @@ def oracle_apply(self, e):
 
 
 def _inputs():
-    """Matrices whose columns are the clustered points: generic, rank-1, duplicate and constant columns."""
+    """Matrices whose columns are the clustered points: generic, rank-1, duplicate and constant columns.
+
+    "tall" has 300 documents, more than numpy's 128-element pairwise-summation block
+    and not a multiple of its 8-way unrolling, so each distance sums in split halves.
+    """
     rng = np.random.default_rng(21)
     generic = rng.standard_normal((30, 41)) * np.linspace(0.1, 4.0, 41)
+    tall = rng.standard_normal((300, 41)) * np.linspace(0.1, 4.0, 41) + 1e3
     rank1 = np.outer(rng.standard_normal(30), rng.standard_normal(41))
     duplicate = np.tile(rng.standard_normal((30, 1)), (1, 41))
     constant = np.tile(rng.standard_normal(41), (30, 1))  # every column constant, values differ
     zeros = np.zeros((30, 41))
-    return {"generic": generic, "rank1": rank1, "duplicate": duplicate, "constant": constant, "zeros": zeros}
+    return {
+        "generic": generic,
+        "tall": tall,
+        "rank1": rank1,
+        "duplicate": duplicate,
+        "constant": constant,
+        "zeros": zeros,
+    }
 
 
-# 3-column tiles leave a partial tile at 41 columns; the default tile covers them all at once.
-TILE_BYTES = {"tile3": 9 * 8 * 30, "default": cluster._TILE_BYTES}
+# Points per tile: 1 and 3 leave partial tiles at 41 points; None keeps the default, one tile for all.
+TILE_POINTS = (1, 3, None)
 
 
-@pytest.mark.parametrize("tile_bytes", TILE_BYTES.values(), ids=TILE_BYTES.keys())
+def _set_tile(monkeypatch, points, tile_points):
+    if tile_points is not None:
+        monkeypatch.setattr(cluster, "_TILE_BYTES", tile_points * points[:1].nbytes)
+
+
+@pytest.mark.parametrize("tile_points", TILE_POINTS)
 @pytest.mark.parametrize("name", _inputs())
-def test_distance_table_rows_equal_per_row_expression(monkeypatch, tile_bytes, name):
-    monkeypatch.setattr(cluster, "_TILE_BYTES", tile_bytes)
+def test_distance_rows_equal_per_row_expression(monkeypatch, tile_points, name):
     points = _inputs()[name].T.copy()
-    rows = np.stack([np.sum((points - points[i]) ** 2, axis=1) for i in range(len(points))])
-    assert cluster.distance_table(points).tobytes() == rows.tobytes()
+    _set_tile(monkeypatch, points, tile_points)
+    rows = cluster.DistanceRows(points)
+    # A shuffled order reads most rows after some of their mirrors are known.
+    for i in np.random.default_rng(3).permutation(len(points)):
+        want = np.sum((points - points[i]) ** 2, axis=1)
+        assert rows[i].tobytes() == want.tobytes()
+        assert rows[i].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("tile_bytes", TILE_BYTES.values(), ids=TILE_BYTES.keys())
+@pytest.mark.parametrize("tile_points", TILE_POINTS)
 @pytest.mark.parametrize("name", _inputs())
-def test_kmeans_pp_centres_equal_oracle(monkeypatch, tile_bytes, name):
-    monkeypatch.setattr(cluster, "_TILE_BYTES", tile_bytes)
+def test_kmeans_pp_centres_equal_oracle(monkeypatch, tile_points, name):
     points = _inputs()[name].T.copy()
-    table = cluster.distance_table(points)
+    _set_tile(monkeypatch, points, tile_points)
+    shared = cluster.DistanceRows(points)  # read by every seeding below, as in a direct run
     for k in (1, 2, 7, 20, 41):
         for seed in (0, 5):
             want = oracle_kmeans_pp_init(points, k, np.random.default_rng(seed)).tobytes()
-            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed), table).tobytes() == want
-            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed)).tobytes() == want
+            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed), shared).tobytes() == want
+            fresh = cluster.DistanceRows(points)
+            assert cluster._kmeans_pp_init(points, k, np.random.default_rng(seed), fresh).tobytes() == want
 
 
 @pytest.mark.parametrize("agg", ["max", "mean", "median"])
@@ -162,7 +184,7 @@ def test_kmeans_pp_centres_equal_oracle(monkeypatch, tile_bytes, name):
 def test_fit_and_apply_equal_oracle(monkeypatch, agg, name):
     e = _inputs()[name]
     spec = CompressorSpec(f"cluster-{agg}")
-    for k in (1, 3, 20, 21, 41):  # fit prepares for k alone: row by row while 2 * k < 41, then from the table
+    for k in (1, 3, 20, 21, 41):
         got = fit(spec.with_seed(k), e, k)
         out = transform(got, e)
         with monkeypatch.context() as m:
