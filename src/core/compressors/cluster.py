@@ -12,7 +12,8 @@ from .base import FittedCompressor
 AGGREGATIONS = ("max", "mean", "median")
 DEFAULT_MAX_ITER = 100
 DEFAULT_TOL = 1e-4
-# DistanceRows sums distances for as many points at a time as fit in this many bytes.
+# DistanceRows sums distances for as many points at a time as fit in this many bytes,
+# so a tile stays in a core's L2 cache (16 points at 2000 documents, the fastest of 8-64).
 _TILE_BYTES = 1 << 18
 
 
@@ -22,15 +23,11 @@ class ClusterState:
     agg: str
 
     def apply(self, e: np.ndarray) -> np.ndarray:
-        # One gather puts each cluster's columns side by side in their original
-        # order, so a cluster reduces over the same values as e[:, assignment == c].
-        grouped = e[:, np.argsort(self.assignment, kind="stable")]
-        counts = np.bincount(self.assignment)
-        ends = np.cumsum(counts)
-        out = np.empty((e.shape[0], len(counts)))
+        k = int(self.assignment.max()) + 1
+        out = np.empty((e.shape[0], k))
         reduce = {"max": np.max, "mean": np.mean, "median": np.median}[self.agg]
-        for c, (lo, hi) in enumerate(zip(ends - counts, ends)):
-            out[:, c] = reduce(grouped[:, lo:hi], axis=1)
+        for c in range(k):
+            out[:, c] = reduce(e[:, self.assignment == c], axis=1)
         return out
 
     def to_arrays(self) -> tuple[dict, dict]:
@@ -107,24 +104,23 @@ def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeans_columns(
-    points: np.ndarray,
+    rows: DistanceRows,
     k: int,
     seed: int,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    rows: DistanceRows | None = None,
 ) -> np.ndarray:
-    """Lloyd iterations from a k-means++ start; returns the assignment vector.
+    """Lloyd iterations on ``rows.points`` from a k-means++ start; returns the assignment vector.
 
-    ``rows`` is ``DistanceRows(points)``, which other seedings on the same points may
-    already have read; without it, seeding starts a fresh one.
+    Seeding reads ``rows``, which other seedings on the same points may already have read.
 
     Empty clusters are repaired each round by moving in the point currently
     farthest from its assigned center, taken from a cluster with another
     member, so the final partition always has k non-empty clusters.
     """
+    points = rows.points
     rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng, DistanceRows(points) if rows is None else rows)
+    centers = _kmeans_pp_init(points, k, rng, rows)
     prev_inertia = np.inf
     assignment = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(max_iter):
@@ -155,11 +151,12 @@ def fit_cluster_aggregate(
     tol: float = DEFAULT_TOL,
     rows: DistanceRows | None = None,
 ) -> FittedCompressor:
-    """``rows`` is ``prepare_columns(e, dims)``, shared by the fits on ``e``."""
+    """``rows`` is ``prepare_columns(e, dims)``, shared by the fits on ``e``; made for ``d_out`` when None."""
     e = np.asarray(e, dtype=np.float64)
     if not 1 <= d_out <= e.shape[1]:
         raise CompressorError(f"d_out must be in [1, {e.shape[1]}], got {d_out}")
     if agg not in AGGREGATIONS:
         raise CompressorError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
-    assignment = kmeans_columns(e.T.copy(), d_out, seed, max_iter, tol, rows)
+    rows = prepare_columns(e, (d_out,)) if rows is None else rows
+    assignment = kmeans_columns(rows, d_out, seed, max_iter, tol)
     return FittedCompressor(f"cluster-{agg}", e.shape[1], d_out, ClusterState(assignment, agg))

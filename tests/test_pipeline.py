@@ -265,13 +265,12 @@ def _degenerate_inputs():
 @pytest.mark.parametrize("compress", [compress_recursive, compress_direct])
 def test_degenerate_cluster_runs_equal_oracle(monkeypatch, name, kind, compress):
     from core.compressors import cluster
-    from test_cluster import oracle_apply, oracle_kmeans_pp_init
+    from test_cluster import oracle_kmeans_pp_init
 
     e0 = _degenerate_inputs()[name]
     spec = CompressorSpec(kind, seed=3)
     schedule = dimension_schedule(32, 2)
     got = compress(e0, spec, schedule)
     monkeypatch.setattr(cluster, "_kmeans_pp_init", oracle_kmeans_pp_init)
-    monkeypatch.setattr(cluster.ClusterState, "apply", oracle_apply)
     want = compress(e0, spec, schedule)
     assert [s.output.tobytes() for s in got.steps] == [s.output.tobytes() for s in want.steps]
