@@ -2,14 +2,9 @@
 """Generate the critical-value table used by the Nemenyi post-hoc test.
 
 For k methods the test needs the 1-alpha quantile of the studentized range
-distribution at infinite degrees of freedom, divided by sqrt(2). At infinite
-df that distribution is the range of k iid standard normals, whose CDF is
-
-    F(w) = k * integral phi(x) * [Phi(x + w) - Phi(x)]^(k-1) dx
-
-(each variable can be the minimum, the other k-1 must land within w above
-it). We invert F numerically and write the table as a Python module, so no
-constant in the package is hand-typed.
+distribution at infinite degrees of freedom, divided by sqrt(2) (Demšar 2006,
+JMLR 7). ``scipy.stats.studentized_range`` gives that quantile; the table is
+written as a Python module, so no constant in the package is hand-typed.
 
 Usage: python scripts/generate_critical_values.py [output_path]
 """
@@ -19,35 +14,15 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from scipy import integrate, optimize, stats
+import numpy as np
+from scipy.stats import studentized_range
 
 ALPHAS = (0.05, 0.10)
 K_RANGE = range(2, 21)
 
 
-def range_cdf(w: float, k: int) -> float:
-    def integrand(x: float) -> float:
-        return stats.norm.pdf(x) * (stats.norm.cdf(x + w) - stats.norm.cdf(x)) ** (k - 1)
-
-    value, _ = integrate.quad(integrand, -8.0 - w, 8.0, limit=200)
-    return k * value
-
-
-def range_quantile(p: float, k: int) -> float:
-    return optimize.brentq(lambda w: range_cdf(w, k) - p, 1e-9, 20.0, xtol=1e-12)
-
-
-def self_check() -> None:
-    # k=2: the range is |N(0,2)|, so F(w) = 2*Phi(w/sqrt(2)) - 1 in closed form.
-    for w in (0.5, 1.5, 3.0):
-        closed = 2.0 * stats.norm.cdf(w / 2**0.5) - 1.0
-        got = range_cdf(w, 2)
-        assert abs(got - closed) < 1e-10, (w, got, closed)
-
-
-def main() -> None:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("src/core/_critical_values.py")
-    self_check()
+def module_text() -> str:
+    """The source of ``core._critical_values``."""
     lines = [
         '"""Nemenyi critical values q_alpha, generated by scripts/generate_critical_values.py.',
         "",
@@ -59,11 +34,16 @@ def main() -> None:
     for alpha in ALPHAS:
         lines.append(f"    {alpha}: {{")
         for k in K_RANGE:
-            q = range_quantile(1.0 - alpha, k) / 2**0.5
+            q = studentized_range.ppf(1.0 - alpha, k, np.inf) / 2**0.5
             lines.append(f"        {k}: {q:.6f},")
         lines.append("    },")
     lines.append("}")
-    out.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> None:
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("src/core/_critical_values.py")
+    out.write_text(module_text())
     print(f"wrote {out}")
 
 

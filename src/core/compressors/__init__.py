@@ -37,8 +37,8 @@ class _Kind(NamedTuple):
     params: dict[str, Any]  # accepted params and their defaults; a value must match its default's type
     state: type
     check: Callable[[dict[str, Any]], object] | None = None  # raises CompressorError for params out of range
-    # (e, dims) -> what every fit on e to one of dims can share, or None; fit receives it as ``prepared``
-    prepare: Callable[[np.ndarray, tuple[int, ...]], Any] | None = None
+    # e -> what every fit on e can share; fit receives it as ``prepared`` and makes it itself when None
+    prepare: Callable[[np.ndarray], Any] | None = None
 
 
 def _cluster(agg: str) -> _Kind:
@@ -131,24 +131,20 @@ def default_params(kind: str) -> dict[str, Any]:
     return dict(_REGISTRY[kind].params)
 
 
-def prepare(spec: CompressorSpec, e: np.ndarray, dims: tuple[int, ...]) -> Any:
-    """The work that every fit of ``spec``'s kind on ``e`` to one of ``dims`` can share, or None."""
+def prepare(spec: CompressorSpec, e: np.ndarray) -> Any:
+    """The work that every fit of ``spec``'s kind on ``e`` can share, or None."""
     hook = _REGISTRY[spec.kind].prepare
-    return None if hook is None else hook(np.asarray(e, dtype=np.float64), tuple(dims))
+    return None if hook is None else hook(np.asarray(e, dtype=np.float64))
 
 
 def fit(spec: CompressorSpec, e: np.ndarray, d_out: int, prepared: Any = None) -> FittedCompressor:
     """Fit the compressor described by ``spec`` on ``e`` for the target dimension.
 
-    ``prepared`` is ``prepare(spec, e, dims)`` for dims that include ``d_out``;
-    when it is None, the fit prepares for ``d_out`` alone. The output is the same
-    bit for bit either way.
+    ``prepared`` is ``prepare(spec, e)``; when it is None, the fit does that work
+    itself. The output is the same bit for bit either way.
     """
     e = np.asarray(e, dtype=np.float64)
-    kind = _REGISTRY[spec.kind]
-    if prepared is None and kind.prepare is not None:
-        prepared = kind.prepare(e, (d_out,))
-    return kind.fit(e, d_out, spec.seed, spec.params, prepared)
+    return _REGISTRY[spec.kind].fit(e, d_out, spec.seed, spec.params, prepared)
 
 
 def save_fitted(fc: FittedCompressor, path: str | Path) -> None:

@@ -71,8 +71,8 @@ class DistanceRows:
         return row
 
 
-def prepare_columns(e: np.ndarray, dims: tuple[int, ...]) -> DistanceRows:
-    """The column distance rows that every seeding on ``e`` reads, whichever of ``dims`` it fits."""
+def prepare_columns(e: np.ndarray) -> DistanceRows:
+    """The column distance rows that every seeding on ``e`` reads, whatever dimension it fits."""
     return DistanceRows(e.T.copy())
 
 
@@ -151,12 +151,12 @@ def fit_cluster_aggregate(
     tol: float = DEFAULT_TOL,
     rows: DistanceRows | None = None,
 ) -> FittedCompressor:
-    """``rows`` is ``prepare_columns(e, dims)``, shared by the fits on ``e``; made for ``d_out`` when None."""
+    """``rows`` is ``prepare_columns(e)``, shared by the fits on ``e``; made here when None."""
     e = np.asarray(e, dtype=np.float64)
     if not 1 <= d_out <= e.shape[1]:
         raise CompressorError(f"d_out must be in [1, {e.shape[1]}], got {d_out}")
     if agg not in AGGREGATIONS:
         raise CompressorError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
-    rows = prepare_columns(e, (d_out,)) if rows is None else rows
+    rows = prepare_columns(e) if rows is None else rows
     assignment = kmeans_columns(rows, d_out, seed, max_iter, tol)
     return FittedCompressor(f"cluster-{agg}", e.shape[1], d_out, ClusterState(assignment, agg))

@@ -36,10 +36,8 @@ def _check_dim(e: np.ndarray, d_out: int) -> None:
         raise CompressorError(f"d_out must be in [1, {limit}] for a {e.shape[0]}x{e.shape[1]} matrix, got {d_out}")
 
 
-def thin_svd(e: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and right singular vectors ``(s, vt)`` of ``e``, shared by exact fits to ``dims``."""
-    for d_out in dims:
-        _check_dim(e, d_out)
+def thin_svd(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors ``(s, vt)`` of ``e``, shared by its exact fits."""
     _, s, vt = np.linalg.svd(e, full_matrices=False)
     return s, vt
 
@@ -48,7 +46,7 @@ def exact_truncated_svd(
     e: np.ndarray, d_out: int, thin: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leading d_out right singular vectors and singular values of the full SVD ``thin`` (computed when None)."""
-    s, vt = thin_svd(e, (d_out,)) if thin is None else thin
+    s, vt = thin_svd(e) if thin is None else thin
     return vt[:d_out].T.copy(), s[:d_out].copy()
 
 
@@ -82,7 +80,7 @@ def fit_svd(
     power_iters: int = DEFAULT_POWER_ITERS,
     thin: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FittedCompressor:
-    """``thin`` is ``thin_svd(e, dims)`` for dims that include ``d_out``; only the exact mode reads it."""
+    """``thin`` is ``thin_svd(e)``; only the exact mode reads it."""
     e = np.asarray(e, dtype=np.float64)
     _check_dim(e, d_out)
     if mode == "exact":

@@ -102,7 +102,7 @@ def _run(
         try:
             if mode == "direct" and i == 1:
                 # Every direct step fits on e0: the work they share is done once, in step 1's time.
-                prepared = prepare(spec, e0, schedule.dims)
+                prepared = prepare(spec, e0)
             # Kinds with nothing to share keep fit's three-argument call: tests/test_experiment.py
             # replaces pipeline.fit with a stand-in that takes exactly (spec, e, d_out).
             args = (spec.with_seed(step_seed), source, dim)

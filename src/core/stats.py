@@ -66,7 +66,7 @@ def average_ranks(
         methods = tuple(f"m{j + 1}" for j in range(k))
     if datasets is None:
         datasets = tuple(f"d{i + 1}" for i in range(n))
-    ranks = np.apply_along_axis(lambda row: sps.rankdata(-row), 1, scores)
+    ranks = sps.rankdata(-scores, axis=1)
     return RankMatrix(
         methods=tuple(methods),
         datasets=tuple(datasets),
@@ -113,19 +113,15 @@ def cd_diagram_layout(r: RankMatrix, cd: CriticalDistance) -> list[RankGroup]:
     ranks = r.avg_ranks[order]
     names = [r.methods[i] for i in order]
     k = len(names)
-    intervals = []
+    groups = []
     for i in range(k):
         j = i
         while j + 1 < k and ranks[j + 1] - ranks[i] < cd.cd:
             j += 1
-        intervals.append((i, j))
-    maximal = [
-        (i, j)
-        for i, j in set(intervals)
-        if not any((a <= i and j <= b and (a, b) != (i, j)) for a, b in intervals)
-    ]
-    maximal.sort()
+        # Runs end in rank order, so one that ends where the last kept run ends lies inside it.
+        if not groups or j > groups[-1][1]:
+            groups.append((i, j))
     return [
         RankGroup(methods=tuple(names[i : j + 1]), lo=float(ranks[i]), hi=float(ranks[j]))
-        for i, j in maximal
+        for i, j in groups
     ]

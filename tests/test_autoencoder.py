@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from core.compressors import CompressorSpec, fit, transform
 from core.compressors.autoencoder import (
     AutoencoderParams,
     TrainConfig,
@@ -16,6 +17,7 @@ from core.compressors.autoencoder import (
     train_autoencoder,
 )
 from core.errors import CompressorError, TrainingDivergedError
+from core.pipeline import compress_direct, compress_recursive, dimension_schedule
 
 
 def identity_params(d, bn_eps=1e-12):
@@ -152,6 +154,21 @@ def test_train_huge_learning_rate_diverges():
     cfg = TrainConfig(learning_rate=1e6, dropout_rate=0.0)
     with pytest.raises(TrainingDivergedError, match="epoch"):
         train_autoencoder(e, 2, "small", seed=0, config=cfg)
+
+
+@pytest.mark.parametrize("kind", ["neural-small", "neural-large"])
+def test_constant_column_trains_to_finite_outputs(kind):
+    # A constant column has zero batch variance: batch norm divides by sqrt(bn_eps) alone.
+    e = np.random.default_rng(12).standard_normal((60, 16))
+    e[:, 5] = 3.0
+    spec = CompressorSpec(kind, seed=2, params={"max_epochs": 50})
+    assert np.all(np.isfinite(transform(fit(spec, e, 8), e)))
+    schedule = dimension_schedule(16, 2)
+    for compress in (compress_recursive, compress_direct):
+        run = compress(e, spec, schedule)
+        assert [s.dim for s in run.steps] == list(schedule.dims)
+        for step in run.steps:
+            assert np.all(np.isfinite(step.output))
 
 
 def test_train_loss_finite_and_final_below_initial():

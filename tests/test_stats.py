@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from core.errors import StatsError
 from core.stats import (
     Q_ALPHA,
     CriticalDistance,
+    RankGroup,
     average_ranks,
     cd_diagram_layout,
     friedman_test,
@@ -145,3 +147,44 @@ def test_groups_cover_and_maximal():
             lo = min(min(span), ranks[m])
             hi = max(max(span), ranks[m])
             assert hi - lo >= cd.cd  # adding any method breaks the bound
+
+
+def oracle_cd_diagram_layout(r, cd):
+    # The all-pairs containment filter that the one-pass layout replaced, kept as its reference.
+    order = np.argsort(r.avg_ranks, kind="stable")
+    ranks = r.avg_ranks[order]
+    names = [r.methods[i] for i in order]
+    k = len(names)
+    intervals = []
+    for i in range(k):
+        j = i
+        while j + 1 < k and ranks[j + 1] - ranks[i] < cd.cd:
+            j += 1
+        intervals.append((i, j))
+    maximal = [
+        (i, j)
+        for i, j in set(intervals)
+        if not any((a <= i and j <= b and (a, b) != (i, j)) for a, b in intervals)
+    ]
+    maximal.sort()
+    return [
+        RankGroup(methods=tuple(names[i : j + 1]), lo=float(ranks[i]), hi=float(ranks[j]))
+        for i, j in maximal
+    ]
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_ranks_and_groups_equal_oracle(ties):
+    rng = np.random.default_rng(11 + ties)
+    for _ in range(400):
+        k = int(rng.integers(2, 12))
+        n = int(rng.integers(1, 8))
+        # Scores on a grid of 4 values tie often; continuous scores almost never.
+        scores = rng.integers(0, 4, (n, k)) / 4.0 if ties else rng.random((n, k))
+        r = average_ranks(scores)
+        per_row = np.array([sps.rankdata(-row) for row in scores])
+        assert r.ranks.tobytes() == per_row.tobytes()
+        assert r.avg_ranks.tobytes() == per_row.mean(axis=0).tobytes()
+        for value in (0.0, float(rng.uniform(0.0, k)), float(k + 1)):
+            cd = CriticalDistance(alpha=0.05, q_alpha=1.0, cd=value)
+            assert cd_diagram_layout(r, cd) == oracle_cd_diagram_layout(r, cd)
