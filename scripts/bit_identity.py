@@ -5,9 +5,9 @@ Runs one fixed flow through ``core.cli.main`` against each tree, each in its own
 process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2; ``stats``, ``report`` and ``evaluate``; and
-``compress --save-states`` for every kind in both modes at kappa 2 and 4, plus
-one ``compress`` that must fail. The exit code, stdout and stderr of each
-command are compared too (``log.txt``).
+``compress --save-states`` for every kind in both modes at kappa 2 and 4,
+``compress --seed 7`` in both modes, plus one ``compress`` that must fail. The
+exit code, stdout and stderr of each command are compared too (``log.txt``).
 
 Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
 flow's own directory in ``results.json`` (the prefix of the absolute paths in its
@@ -79,6 +79,10 @@ def flow_commands() -> list[list[str]]:
             for kappa in (2, 4):
                 cmds.append(["compress", "--input", "data/a.core", "--spec", f"specs/{kind}.json", "--mode", mode,
                              "--kappa", str(kappa), "--out", f"compress/{kind}-{mode}-k{kappa}", "--save-states"])
+    # The flag's seed replaces the spec file's seed 1, in the run.json spec and in every step seed.
+    for mode in ("rec", "dir"):
+        cmds.append(["compress", "--input", "data/a.core", "--spec", "specs/svd.json", "--mode", mode,
+                     "--seed", "7", "--out", f"compress/svd-{mode}-seed7"])
     cmds += [
         ["evaluate", "--input", "compress/svd-rec-k2/step_2.core", "--baseline", "data/a.core",
          "--labels", "data/a.labels", "--seed", "7", "--out", "evaluate.json"],

@@ -88,21 +88,10 @@ def cmd_compress(args) -> int:
     meta = {
         "input": str(args.input),
         "mode": mode,
-        "kappa": args.kappa,
-        "d0": schedule.d0,
-        "dims": list(schedule.dims),
+        **asdict(schedule),
         "spec": asdict(spec),
-        "steps": [
-            {
-                "step": s.step,
-                "dim": s.dim,
-                "seed": s.seed,
-                "seconds": s.seconds,
-                "state_bytes": s.state_bytes,
-                "file": f"step_{s.step}.core",
-            }
-            for s in run.steps
-        ],
+        "steps": [{k: v for k, v in asdict(s).items() if k != "output"} | {"file": f"step_{s.step}.core"}
+                  for s in run.steps],
     }
     (out_dir / "run.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {len(run.steps)} steps to {out_dir}")
@@ -183,16 +172,11 @@ def _stats_payload(table: ResultsTable, step: int, alpha: float) -> dict:
     groups = cd_diagram_layout(ranks, cd)
     return {
         "step": step,
-        "alpha": alpha,
         "n_datasets": ranks.n_datasets,
         "methods": list(ranks.methods),
         "avg_ranks": {m: ranks.avg_ranks[j] for j, m in enumerate(ranks.methods)},
-        "chi2_f": fried.chi2_f,
-        "p_value": fried.p_value,
-        "iman_davenport_f": fried.iman_davenport_f,
-        "iman_davenport_p": fried.iman_davenport_p,
-        "q_alpha": cd.q_alpha,
-        "cd": cd.cd,
+        **asdict(fried),
+        **asdict(cd),
         "groups": [list(g.methods) for g in groups],
     }
 

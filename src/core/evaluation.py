@@ -175,7 +175,6 @@ def evaluate_matrices(
     labels: Labels,
     k: int = 3,
     seed: int = 0,
-    c: float = DEFAULT_C,
 ) -> EvalResult:
     """Score one matrix per repeat; repeat r uses folds seeded with mix64(seed, r).
 
@@ -192,7 +191,7 @@ def evaluate_matrices(
         folds = stratified_kfold(labels, k, mix64(seed, r))
         for f in range(k):
             test = folds.fold_of == f
-            model = train_logreg(e[~test], labels.ids[~test], c)
+            model = train_logreg(e[~test], labels.ids[~test])
             scores.append((r, f, micro_f1(predict(model, e[test]), labels.ids[test])))
     values = np.array([s for _, _, s in scores])
     return EvalResult(
@@ -208,7 +207,6 @@ def evaluate_representation(
     k: int = 3,
     repeats: int = 3,
     seed: int = 0,
-    c: float = DEFAULT_C,
 ) -> EvalResult:
     """Repeated stratified k-fold evaluation of a single fixed matrix."""
-    return evaluate_matrices([e] * repeats, labels, k, seed, c)
+    return evaluate_matrices([e] * repeats, labels, k, seed)

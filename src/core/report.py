@@ -5,12 +5,17 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
+from .compressors import number_like
 from .errors import CoreError
 from .evaluation import EvaluationRecord
 from .stats import CriticalDistance, RankMatrix, cd_diagram_layout
 
 SCHEMA_VERSION = 1
+# The declared type of each record field: what the results reader checks and the TSV formats by.
+RECORD_TYPES = get_type_hints(EvaluationRecord)
+TSV_COLUMNS = tuple(name for name, kind in RECORD_TYPES.items() if kind in (str, int, float) and name != "repeats")
 SVG_WIDTH = 900
 SVG_HEIGHT = 500
 
@@ -72,10 +77,25 @@ def load_results(path: str | Path) -> ResultsTable:
     records, meta = data.get("records"), data.get("meta", {})
     if not isinstance(records, list) or not isinstance(meta, dict):
         raise CoreError(f"{path}: 'records' must be a list and 'meta' an object")
+    config = meta.get("config", {})
+    if not isinstance(config, dict):
+        raise CoreError(f"{path}: meta.config must be an object, got {config!r}")
+    if not number_like(config.get("margin", 0.0), 0.0):
+        raise CoreError(f"{path}: meta.config.margin must be a number, got {config['margin']!r}")
+    return ResultsTable(records=[_record(path, i, r) for i, r in enumerate(records)], meta=meta)
+
+
+def _record(path: str | Path, index: int, data) -> EvaluationRecord:
+    """Record ``index`` of a results file, each value of its declared type (``bool`` is no number)."""
     try:
-        return ResultsTable(records=[EvaluationRecord(**r) for r in records], meta=meta)
+        record = EvaluationRecord(**data)
     except TypeError as exc:
-        raise CoreError(f"{path}: malformed record ({exc})") from exc
+        raise CoreError(f"{path}: malformed record {index} ({exc})") from exc
+    for name, kind in RECORD_TYPES.items():
+        value = getattr(record, name)
+        if not (number_like(value, kind()) if kind in (int, float) else isinstance(value, kind)):
+            raise CoreError(f"{path}: record {index}: {name} must be {kind.__name__}, got {value!r}")
+    return record
 
 
 def emit_tsv(t: ResultsTable, path: str | Path) -> None:
@@ -83,24 +103,10 @@ def emit_tsv(t: ResultsTable, path: str | Path) -> None:
     if not t.records:
         raise CoreError("cannot emit an empty results table")
     path = Path(path)
-    lines = ["dataset\trepresentation\tcompressor\tmode\tstep\tdim\tmean_f1\tstd_f1\tepsilon_f1\thighlight"]
+    lines = ["\t".join(TSV_COLUMNS + ("highlight",))]
     for r in t.sorted_records():
-        lines.append(
-            "\t".join(
-                [
-                    r.dataset,
-                    r.representation,
-                    r.compressor,
-                    r.mode,
-                    str(r.step),
-                    str(r.dim),
-                    f"{r.mean_f1:.3f}",
-                    f"{r.std_f1:.3f}",
-                    f"{r.epsilon_f1:.3f}",
-                    "true" if highlighted(r) else "false",
-                ]
-            )
-        )
+        cells = [format(getattr(r, name), ".3f" if RECORD_TYPES[name] is float else "") for name in TSV_COLUMNS]
+        lines.append("\t".join(cells + ["true" if highlighted(r) else "false"]))
     path.write_text("\n".join(lines) + "\n")
     emit_json(t, path.with_suffix(".json"))
 
@@ -187,8 +193,6 @@ def emit_cd_svg(r: RankMatrix, cd: CriticalDistance, path: str | Path) -> None:
     axis_y = 150
 
     def px(rank: float) -> float:
-        if k == 1:
-            return (x0 + x1) / 2
         return x0 + (rank - 1.0) * (x1 - x0) / (k - 1)
 
     out = _svg_open(f"Average ranks (CD = {cd.cd:.3f} at alpha = {cd.alpha})")

@@ -15,7 +15,6 @@ from .errors import StatsError
 class RankMatrix:
     methods: tuple[str, ...]
     datasets: tuple[str, ...]
-    scores: np.ndarray  # (n_datasets, n_methods)
     ranks: np.ndarray  # rank 1 = best = highest score; ties get average rank
     avg_ranks: np.ndarray  # (n_methods,)
 
@@ -70,7 +69,6 @@ def average_ranks(
     return RankMatrix(
         methods=tuple(methods),
         datasets=tuple(datasets),
-        scores=scores,
         ranks=ranks,
         avg_ranks=ranks.mean(axis=0),
     )

@@ -383,3 +383,86 @@ def test_compress_exact_svd_fewer_docs_than_first_dim_exit_one(tmp_path, capsys,
                  "--mode", mode, "--out", str(tmp_path / "steps"), "--save-states"]) == 1
     assert capsys.readouterr().err == "error: step 1: d_out must be in [1, 100] for a 100x384 matrix, got 192\n"
     assert not list((tmp_path / "steps").glob("state_*.npz"))
+
+
+MISTYPED_RESULTS = {
+    "epsilon-f1-string": (lambda d: d["records"][3].update(epsilon_f1="x"), "record 3: epsilon_f1 must be float"),
+    "step-string": (lambda d: d["records"][3].update(step="2"), "record 3: step must be int"),
+    "dataset-number": (lambda d: d["records"][0].update(dataset=5), "record 0: dataset must be str"),
+    "dim-bool": (lambda d: d["records"][5].update(dim=True), "record 5: dim must be int"),
+    "config-null": (lambda d: d.update(meta={"config": None}), "meta.config must be an object"),
+    "margin-string": (lambda d: d.update(meta={"config": {"margin": "x"}}), "meta.config.margin must be a number"),
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "report"])
+@pytest.mark.parametrize("mutate, message", MISTYPED_RESULTS.values(), ids=MISTYPED_RESULTS.keys())
+def test_mistyped_results_exit_one(tmp_path, capsys, command, mutate, message):
+    # Values are checked against the declared field types when the file is read, not where they are used.
+    _results_file(tmp_path / "results.json", mutate)
+    argv = [command, "--records", str(tmp_path / "results.json")]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'results.json'}: {message}, got ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+
+
+def test_compress_seed_flag_overrides_spec_seed(synth_dir, tmp_path):
+    for name, seed, extra in (("flag", 1, ["--seed", "7"]), ("file", 7, [])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"kind": "sparse-projection", "seed": seed}))
+        assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / name)] + extra) == 0
+    run_meta = json.loads((tmp_path / "flag" / "run.json").read_text())
+    assert run_meta["spec"]["seed"] == 7
+    assert [s["file"] for s in run_meta["steps"]] == ["step_1.core", "step_2.core", "step_3.core"]
+    for i in (1, 2, 3):
+        assert (tmp_path / "flag" / f"step_{i}.core").read_bytes() == (tmp_path / "file" / f"step_{i}.core").read_bytes()
+
+
+def test_evaluate_out_writes_the_printed_json(synth_dir, tmp_path, capsys):
+    args = ["evaluate", "--input", str(synth_dir / "tiny.core"), "--baseline", str(synth_dir / "tiny.core"),
+            "--labels", str(synth_dir / "tiny.labels"), "--seed", "3"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "record.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "record.json").read_text() == printed
+
+
+def test_run_without_config_exit_two(capsys):
+    assert main(["run"]) == 2
+    assert capsys.readouterr().err == "error: run requires --config\n"
+
+
+def test_stats_step_without_records_exit_one(tmp_path, capsys):
+    _results_file(tmp_path / "results.json", lambda d: None)
+    assert main(["stats", "--records", str(tmp_path / "results.json"), "--step", "9"]) == 1
+    assert capsys.readouterr().err == "error: no records at step 9\n"
+
+
+def test_stats_missing_cell_exit_one(tmp_path, capsys):
+    def drop_b_svd_at_step_2(data):
+        data["records"] = [r for r in data["records"] if (r["dataset"], r["compressor"], r["step"]) != ("b", "svd", 2)]
+
+    _results_file(tmp_path / "results.json", drop_b_svd_at_step_2)
+    assert main(["stats", "--records", str(tmp_path / "results.json"), "--step", "2"]) == 1
+    assert capsys.readouterr().err == "error: missing score for dataset 'b', method 'svd' at step 2\n"
+
+
+def test_report_one_step_schedule_plots_one_point(tmp_path, capsys):
+    # dim 3 at kappa 2 has the single step 3 -> 2, so the step axis has one tick, centred.
+    assert main(["synth", "--docs", "24", "--classes", "2", "--rank", "2", "--dim", "3", "--seed", "5",
+                 "--out", str(tmp_path / "data"), "--name", "d3"]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "manifest": str(tmp_path / "data" / "manifest.json"), "specs": [{"kind": "svd-exact"}],
+        "modes": ["recursive"], "folds": 2, "repeats": 1, "out_dir": str(tmp_path / "results"),
+    }))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert main(["report", "--records", str(tmp_path / "results" / "results.json"),
+                 "--out", str(tmp_path / "report"), "--step", "1"]) == 0
+    polylines = ET.parse(tmp_path / "report" / "performance.svg").getroot().findall(
+        ".//{http://www.w3.org/2000/svg}polyline")
+    assert [p.get("points").split(",")[0] for p in polylines] == ["395.00"]
