@@ -6,8 +6,11 @@ process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2; ``stats``, ``report`` and ``evaluate``; and
 ``compress --save-states`` for every kind in both modes at kappa 2 and 4,
-``compress --seed 7`` in both modes, plus one ``compress`` that must fail. The
-exit code, stdout and stderr of each command are compared too (``log.txt``).
+``compress --seed 7`` in both modes, plus five ``compress`` commands that must
+fail: fewer documents than the first step's dimension, a CSV input with a ragged
+row, an unparseable token or a ``nan``, and an autoencoder whose training
+diverges. The exit code, stdout and stderr of each command are compared too
+(``log.txt``), so every failure message is compared byte for byte.
 
 Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
 flow's own directory in ``results.json`` (the prefix of the absolute paths in its
@@ -48,6 +51,10 @@ KINDS = (
 )
 # Short autoencoder training keeps the flow fast; the other kinds use their defaults.
 NEURAL_PARAMS = {"max_epochs": 20}
+# A learning rate this large makes the training loss non-finite within the epoch cap.
+DIVERGING_PARAMS = {"learning_rate": 1e12, "max_epochs": 50}
+# CSV inputs that the reader rejects: a ragged row, an unparseable token and a non-finite value.
+BAD_CSV = {"ragged": "1.0,2.0\n3.0\n", "token": "1.0,2.0\n3.0,x\n", "nan": "1.0,2.0\n3.0,nan\n"}
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
@@ -88,7 +95,11 @@ def flow_commands() -> list[list[str]]:
          "--labels", "data/a.labels", "--seed", "7", "--out", "evaluate.json"],
         ["compress", "--input", "short/short.core", "--spec", "specs/svd-exact.json", "--mode", "dir",
          "--out", "compress/short"],
+        ["compress", "--input", "data/a.core", "--spec", "specs/diverging.json", "--out", "compress/diverging"],
     ]
+    for name in BAD_CSV:
+        cmds.append(["compress", "--input", f"bad/{name}.csv", "--format", "csv", "--spec", "specs/svd.json",
+                     "--out", f"compress/bad-{name}"])
     return cmds
 
 
@@ -100,6 +111,11 @@ def run_flow(out: Path) -> None:
     Path("specs").mkdir()
     for i, kind in enumerate(KINDS):
         Path("specs", f"{kind}.json").write_text(json.dumps(_spec(kind, i + 1)))
+    Path("specs", "diverging.json").write_text(json.dumps({"kind": "neural-small", "seed": 1,
+                                                           "params": DIVERGING_PARAMS}))
+    Path("bad").mkdir()
+    for name, text in BAD_CSV.items():
+        Path("bad", f"{name}.csv").write_text(text)
     Path("cfg.json").write_text(json.dumps({
         "manifest": "data/manifest.json",
         "specs": [_spec(kind, i + 1) for i, kind in enumerate(KINDS)],

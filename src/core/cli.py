@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from .compressors import CompressorSpec, save_fitted
-from .errors import FAILURES, CompressorError, ConfigError, CoreError
+from .errors import FAILURES, CompressorError, ConfigError, CoreError, DatasetError
 from .evaluation import EvaluationRecord, evaluate_representation, scored_record
 from .experiment import ExperimentConfig, check_lower_bounds, load_config, run_experiment, write_synthetic_dataset
-from .io import load_embeddings, load_labels, load_manifest, save_matrix, validate_dataset
+from .io import load_embeddings, load_labels, load_manifest, read_input, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
     ResultsTable,
@@ -31,9 +31,10 @@ _MODE_NAMES = {"rec": "recursive", "recursive": "recursive", "dir": "direct", "d
 
 
 def _load_spec(path: str) -> CompressorSpec:
+    data = read_input(path, ConfigError, "compressor spec", json.loads)
     try:
-        return CompressorSpec(**json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, TypeError, CompressorError) as exc:
+        return CompressorSpec(**data)
+    except (TypeError, CompressorError) as exc:
         raise ConfigError(f"cannot read compressor spec {path}: {exc}") from exc
 
 
@@ -49,7 +50,7 @@ def cmd_synth(args) -> int:
     entries = []
     if manifest_path.exists():
         load_manifest(manifest_path)  # checks the file before anything is written
-        entries = json.loads(manifest_path.read_text())
+        entries = read_input(manifest_path, DatasetError, "manifest", json.loads)
     entry = write_synthetic_dataset(
         args.out,
         args.name,

@@ -261,9 +261,9 @@ def train_autoencoder(
         try:
             loss, grads = reconstruction_loss_and_grads(p, e, masks, stats_out=stats)
         except CompressorError as exc:
-            raise TrainingDivergedError(epoch) from exc
+            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}") from exc
         if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch)
+            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
         for i, (mean, var) in enumerate(stats):
             p.bn_mean[i] = (1.0 - config.bn_momentum) * p.bn_mean[i] + config.bn_momentum * mean
             p.bn_var[i] = (1.0 - config.bn_momentum) * p.bn_var[i] + config.bn_momentum * var

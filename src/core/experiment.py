@@ -14,7 +14,7 @@ from . import __version__
 from .compressors import CompressorSpec, default_params, number_like
 from .errors import FAILURES, CompressorError, ConfigError, CoreError
 from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, scored_record
-from .io import Labels, load_embeddings, load_labels, load_manifest, save_labels, save_matrix, validate_dataset
+from .io import Labels, load_embeddings, load_labels, load_manifest, read_input, save_labels, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
 from .report import ResultsTable
 
@@ -49,9 +49,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            like = 0.0 if f.name == "task_timeout" and value is not None else f.default
-            if isinstance(like, (int, float)) and not number_like(value, like):
+            like = {"manifest": "", "task_timeout": None if value is None else 0.0}.get(f.name, f.default)
+            if (isinstance(like, str) and not isinstance(value, str)
+                    or isinstance(like, (int, float)) and not number_like(value, like)):
                 raise ConfigError(f"{f.name} must be {type(like).__name__}, got {value!r}")
+        if self.task_timeout is not None and self.task_timeout <= 0:
+            raise ConfigError(f"task_timeout must be > 0, got {self.task_timeout}")
         if not self.specs:
             raise ConfigError("need at least one compressor spec")
         check_lower_bounds(vars(self))
@@ -76,10 +79,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        return config_from_dict(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(read_input(path, ConfigError, "config", json.loads))
 
 
 def make_synthetic_dataset(

@@ -1,4 +1,4 @@
-"""Embedding matrix, label, and manifest file handling.
+"""Embedding matrix, label, and manifest file handling; ``read_input`` reads every text input.
 
 Binary matrix layout: magic ``CORE``, u32 little-endian row count, u32
 little-endian column count, then rows*cols little-endian f32 values in
@@ -12,10 +12,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import (
+    CoreError,
     DatasetError,
     LabelFileError,
     MatrixFormatError,
@@ -62,13 +64,22 @@ class DatasetInfo:
     min_class_count: int
 
 
+def read_input(path: str | Path, error: type[CoreError], what: str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the UTF-8 text of the input file ``path``; a file that cannot be read,
+    decoded or parsed raises ``error`` with the message ``cannot read <what> <path>: <reason>``."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _check_matrix(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise MatrixFormatError(f"matrix must be 2-D with at least one row and column, got shape {m.shape}")
     bad = np.argwhere(~np.isfinite(m))
     if len(bad):
         r, c = bad[0]
-        raise NonFiniteValueError(int(r) + 1, int(c) + 1)
+        raise NonFiniteValueError(f"row {r + 1}, col {c + 1}: non-finite value")
     return m
 
 
@@ -101,7 +112,7 @@ def _load_binary(path: Path) -> np.ndarray:
 
 
 def _load_csv(path: Path, header: bool = False) -> np.ndarray:
-    lines = path.read_text().splitlines()
+    lines = read_input(path, MatrixFormatError, "CSV matrix", str.splitlines)
     start = 1 if header else 0
     body = [(i + 1, line) for i, line in enumerate(lines) if i >= start and line.strip()]
     if not body:
@@ -111,13 +122,13 @@ def _load_csv(path: Path, header: bool = False) -> np.ndarray:
     for lineno, line in body:
         fields = line.split(",")
         if len(fields) != width:
-            raise RaggedRowError(lineno, width, len(fields))
+            raise RaggedRowError(f"row {lineno}: expected {width} fields, got {len(fields)}")
         row = []
         for j, tok in enumerate(fields):
             try:
                 row.append(float(tok))
             except ValueError:
-                raise ValueParseError(lineno, j + 1, tok.strip()) from None
+                raise ValueParseError(f"row {lineno}, col {j + 1}: cannot parse {tok.strip()!r} as a number") from None
         rows.append(row)
     return _check_matrix(np.array(rows, dtype=np.float64))
 
@@ -139,7 +150,7 @@ def save_matrix(m: np.ndarray, path: str | Path, fmt: str = "binary") -> None:
 
 def load_labels(path: str | Path) -> Labels:
     """Read one label token per line; ids assigned by first appearance."""
-    lines = Path(path).read_text().splitlines()
+    lines = read_input(path, LabelFileError, "labels", str.splitlines)
     if not lines:
         raise LabelFileError(f"{path}: empty label file")
     by_name: dict[str, int] = {}
@@ -162,10 +173,7 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
     Relative paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    try:
-        entries = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: manifest is not valid JSON ({exc})") from exc
+    entries = read_input(path, DatasetError, "manifest", json.loads)
     if not isinstance(entries, list) or not entries:
         raise DatasetError(f"{path}: manifest must be a non-empty JSON array")
     seen = set()

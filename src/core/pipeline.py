@@ -109,7 +109,7 @@ def _run(
             fc = fit(*args) if prepared is None else fit(*args, prepared)
             out = transform(fc, source)
         except CoreError as exc:
-            raise CompressionStepError(i, exc) from exc
+            raise CompressionStepError(f"step {i}: {exc}") from exc
         seconds = time.perf_counter() - start
         steps.append(
             StepResult(

@@ -10,6 +10,7 @@ from typing import get_type_hints
 from .compressors import number_like
 from .errors import CoreError
 from .evaluation import EvaluationRecord
+from .io import read_input
 from .stats import CriticalDistance, RankMatrix, cd_diagram_layout
 
 SCHEMA_VERSION = 1
@@ -68,10 +69,7 @@ def emit_json(t: ResultsTable, path: str | Path) -> None:
 
 
 def load_results(path: str | Path) -> ResultsTable:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CoreError(f"{path}: not a results JSON file ({exc})") from exc
+    data = read_input(path, CoreError, "results", json.loads)
     if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
         raise CoreError(f"unsupported results schema in {path}")
     records, meta = data.get("records"), data.get("meta", {})

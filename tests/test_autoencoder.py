@@ -223,3 +223,21 @@ def test_init_params_takes_dropout_and_eps_from_config():
     assert (p.dropout_rate, p.bn_eps) == (0.3, 1e-3)
     q = train_autoencoder(np.ones((6, 5)), 2, "small", config=TrainConfig(max_epochs=1, dropout_rate=0.0, bn_eps=0.5))
     assert (q.dropout_rate, q.bn_eps) == (0.0, 0.5)
+
+
+def test_train_non_finite_loss_names_the_epoch(monkeypatch):
+    import core.compressors.autoencoder as autoencoder
+
+    real, losses = autoencoder.reconstruction_loss_and_grads, []
+
+    def infinite_at_third_epoch(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        losses.append(loss)
+        return (np.inf if len(losses) == 3 else loss), grads
+
+    monkeypatch.setattr(autoencoder, "reconstruction_loss_and_grads", infinite_at_third_epoch)
+    e = np.random.default_rng(5).standard_normal((10, 4))
+    with pytest.raises(TrainingDivergedError) as info:
+        train_autoencoder(e, 2, "small", seed=0)
+    assert str(info.value) == "training loss became non-finite at epoch 2"
+    assert info.value.__cause__ is None

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,3 +467,64 @@ def test_report_one_step_schedule_plots_one_point(tmp_path, capsys):
     polylines = ET.parse(tmp_path / "report" / "performance.svg").getroot().findall(
         ".//{http://www.w3.org/2000/svg}polyline")
     assert [p.get("points").split(",")[0] for p in polylines] == ["395.00"]
+
+
+CONFIG_VALUES_THAT_CANNOT_RUN = {
+    "manifest-number": ({"manifest": 5}, "manifest must be str, got 5"),
+    "out-dir-number": ({"out_dir": 7}, "out_dir must be str, got 7"),
+    "task-timeout-zero": ({"task_timeout": 0}, "task_timeout must be > 0, got 0"),
+    "task-timeout-negative": ({"task_timeout": -5}, "task_timeout must be > 0, got -5"),
+}
+
+
+@pytest.mark.parametrize("override, message", CONFIG_VALUES_THAT_CANNOT_RUN.values(),
+                         ids=CONFIG_VALUES_THAT_CANNOT_RUN.keys())
+def test_run_config_value_that_cannot_run_exit_two(synth_dir, tmp_path, capsys, monkeypatch, override, message):
+    monkeypatch.chdir(tmp_path)  # a relative out_dir would be written here
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
+                                    "out_dir": str(tmp_path / "results"), **override}))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# Each input file the CLI reads as text, with what its error calls it and the exit code.
+NOT_UTF8_INPUTS = {
+    "run-config": ("config", 2),
+    "compress-spec": ("compressor spec", 2),
+    "compress-csv": ("CSV matrix", 1),
+    "evaluate-labels": ("labels", 1),
+    "stats-records": ("results", 1),
+    "run-manifest": ("manifest", 1),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8_INPUTS)
+def test_input_not_utf8_is_one_error_line(synth_dir, tmp_path, capsys, case):
+    what, code = NOT_UTF8_INPUTS[case]
+    tiny, labels, manifest = (str(synth_dir / name) for name in ("tiny.core", "tiny.labels", "manifest.json"))
+    (tmp_path / "spec.json").write_text('{"kind": "svd"}')
+    (tmp_path / "m.csv").write_text("1.0,2.0\n3.0,4.0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"manifest": manifest, "specs": [{"kind": "svd"}],
+                                                   "out_dir": str(tmp_path / "results")}))
+    (tmp_path / "results.json").write_text(json.dumps({"schema_version": 1, "records": []}))
+    spec, cfg = str(tmp_path / "spec.json"), str(tmp_path / "cfg.json")
+    out = ["--out", str(tmp_path / "out")]
+    bad, argv = {
+        "run-config": (cfg, ["run", "--config", cfg]),
+        "compress-spec": (spec, ["compress", "--input", tiny, "--spec", spec, *out]),
+        "compress-csv": (str(tmp_path / "m.csv"),
+                         ["compress", "--input", str(tmp_path / "m.csv"), "--format", "csv", "--spec", spec, *out]),
+        "evaluate-labels": (labels, ["evaluate", "--input", tiny, "--baseline", tiny, "--labels", labels]),
+        "stats-records": (str(tmp_path / "results.json"), ["stats", "--records", str(tmp_path / "results.json")]),
+        "run-manifest": (manifest, ["run", "--config", cfg]),
+    }[case]
+    data = Path(bad).read_bytes()
+    Path(bad).write_bytes(data[:1] + b"\xff" + data[1:])
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode byte 0xff in position 1")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "results").exists()

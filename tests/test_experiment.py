@@ -9,6 +9,7 @@ from core.experiment import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    load_config,
     make_synthetic_dataset,
     run_experiment,
     write_synthetic_dataset,
@@ -222,3 +223,23 @@ def test_dataset_whose_baseline_cannot_be_scored_is_recorded(tmp_path):
     assert table.meta["errors"] == ["dataset one: need at least 2 classes to train a classifier"]
     assert {r.dataset for r in table.records} == {"valid"}
     assert len(table.records) == 1 + 2 * 2 * 3  # baseline + 2 specs x 2 modes x 3 steps
+
+
+def test_run_experiment_labels_not_utf8_is_a_dataset_error(tmp_path):
+    manifest = small_manifest(tmp_path)
+    labels = tmp_path / "dsA.labels"
+    labels.write_bytes(b"\xff" + labels.read_bytes())
+    table = run_experiment(small_config(manifest, repeats=1))
+    assert table.meta["errors"] == [
+        f"dataset dsA: cannot read labels {labels}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ]
+    assert {r.dataset for r in table.records} == {"dsB"}
+    assert len(table.records) == 1 + 2 * 2 * 3  # baseline + 2 specs x 2 modes x 3 steps
+
+
+def test_load_config_missing_file(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'"

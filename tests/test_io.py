@@ -216,3 +216,11 @@ def test_manifest_duplicate_name(tmp_path):
     )
     with pytest.raises(DatasetError, match="duplicate"):
         load_manifest(tmp_path / "m.json")
+
+
+def test_csv_without_data_rows(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("a,b\n\n")
+    with pytest.raises(MatrixFormatError) as info:
+        load_embeddings(p, "csv", header=True)
+    assert str(info.value) == f"{p}: no data rows"

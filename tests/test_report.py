@@ -175,3 +175,13 @@ def test_svgs_are_well_formed_xml(tmp_path):
     for name in ("a.svg", "b.svg"):
         root = ET.parse(tmp_path / name).getroot()
         assert root.tag == f"{SVG_NS}svg"
+
+
+def test_load_results_invalid_json(tmp_path):
+    path = tmp_path / "results.json"
+    path.write_text("{bad")
+    with pytest.raises(CoreError) as info:
+        load_results(path)
+    assert str(info.value) == (
+        f"cannot read results {path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
