@@ -14,7 +14,7 @@ from .compressors import CompressorSpec, save_fitted
 from .errors import FAILURES, CompressorError, ConfigError, CoreError, DatasetError
 from .evaluation import EvaluationRecord, evaluate_representation, scored_record
 from .experiment import ExperimentConfig, check_lower_bounds, load_config, run_experiment, write_synthetic_dataset
-from .io import load_embeddings, load_labels, load_manifest, read_input, save_matrix, validate_dataset
+from .io import check_manifest, load_embeddings, load_labels, read_input, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
     ResultsTable,
@@ -49,8 +49,8 @@ def cmd_synth(args) -> int:
     manifest_path = Path(args.out) / "manifest.json"
     entries = []
     if manifest_path.exists():
-        load_manifest(manifest_path)  # checks the file before anything is written
         entries = read_input(manifest_path, DatasetError, "manifest", json.loads)
+        check_manifest(manifest_path, entries)  # before anything is written
     entry = write_synthetic_dataset(
         args.out,
         args.name,

@@ -173,6 +173,8 @@ def embed_autoencoder(p: AutoencoderParams, e: np.ndarray) -> np.ndarray:
     return _infer(p, e, p.embed_index)
 
 
+# A diverging run overflows here; the non-finite checks report it, not numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruction_loss_and_grads(
     p: AutoencoderParams,
     x: np.ndarray,

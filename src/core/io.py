@@ -172,8 +172,11 @@ def load_manifest(path: str | Path) -> list[ManifestEntry]:
 
     Relative paths are resolved against the manifest's directory.
     """
-    path = Path(path)
-    entries = read_input(path, DatasetError, "manifest", json.loads)
+    return check_manifest(Path(path), read_input(path, DatasetError, "manifest", json.loads))
+
+
+def check_manifest(path: Path, entries: Any) -> list[ManifestEntry]:
+    """Check the parsed JSON of the manifest at ``path`` and resolve its entries."""
     if not isinstance(entries, list) or not entries:
         raise DatasetError(f"{path}: manifest must be a non-empty JSON array")
     seen = set()

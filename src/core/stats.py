@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from ._critical_values import Q_ALPHA
 from .errors import StatsError
@@ -55,6 +54,7 @@ def average_ranks(
     datasets: tuple[str, ...] | None = None,
 ) -> RankMatrix:
     """Per-dataset descending-score ranking with average ranks for ties."""
+    from scipy import stats as sps  # not at module level: ~0.5 s that only ranking commands pay
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 2:
         raise StatsError(f"need an N x k score matrix with N >= 1, k >= 2, got shape {scores.shape}")
@@ -76,6 +76,7 @@ def average_ranks(
 
 def friedman_test(r: RankMatrix) -> FriedmanResult:
     """Chi-square Friedman statistic plus the Iman-Davenport F correction."""
+    from scipy import stats as sps
     n, k = r.n_datasets, r.n_methods
     if n < 2 or k < 2:
         raise StatsError(f"Friedman test needs N >= 2 and k >= 2, got N={n}, k={k}")

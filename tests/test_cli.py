@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -528,3 +531,32 @@ def test_input_not_utf8_is_one_error_line(synth_dir, tmp_path, capsys, case):
     assert err.startswith(f"error: cannot read {what} {bad}: 'utf-8' codec can't decode byte 0xff in position 1")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists() and not (tmp_path / "results").exists()
+
+
+def test_diverging_autoencoder_prints_only_its_error_line(tmp_path):
+    # A subprocess, because pytest would capture numpy's overflow warnings itself.
+    from core.io import save_matrix
+
+    save_matrix(np.random.default_rng(0).standard_normal((80, 32)), tmp_path / "x.core")
+    (tmp_path / "spec.json").write_text(json.dumps(
+        {"kind": "neural-small", "seed": 1, "params": {"learning_rate": 1e12, "max_epochs": 50}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "core", "compress", "--input", str(tmp_path / "x.core"),
+         "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "steps")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: step 1: training loss became non-finite at epoch 14\n"
+
+
+def test_synth_duplicate_name_in_existing_manifest_exit_one(synth_dir, capsys):
+    manifest = synth_dir / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(entries * 2))
+    before = manifest.read_text()
+    assert main(["synth", "--docs", "36", "--classes", "3", "--rank", "4", "--dim", "16",
+                 "--out", str(synth_dir), "--name", "other"]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: missing or duplicate dataset name 'tiny'\n"
+    assert not (synth_dir / "other.core").exists()
+    assert manifest.read_text() == before
