@@ -288,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # kappa is not among them: dimension_schedule rejects it as a ScheduleError (exit 1).
-        check_lower_bounds({name: getattr(args, name, None) for name in ("folds", "repeats", "seed")})
+        check_lower_bounds({name: getattr(args, name, None) for name in ("kappa", "folds", "repeats", "seed")})
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,15 +23,6 @@ def softsign(x):
     return x / (1.0 + np.abs(x))
 
 
-def batchnorm(x: np.ndarray, eps: float) -> np.ndarray:
-    """Standardize by batch mean and population variance, per unit (column)."""
-    if eps <= 0:
-        raise CompressorError(f"bn eps must be > 0, got {eps}")
-    mean = x.mean(axis=0)
-    var = x.var(axis=0)  # population (biased) convention
-    return (x - mean) / np.sqrt(var + eps)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     max_epochs: int = 2000

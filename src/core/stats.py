@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._critical_values import Q_ALPHA
 from .errors import StatsError
 
 
@@ -94,15 +93,16 @@ def friedman_test(r: RankMatrix) -> FriedmanResult:
 
 
 def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> CriticalDistance:
-    """CD = q_alpha * sqrt(k (k+1) / (6 N)) with q_alpha from the generated table."""
-    table = Q_ALPHA.get(alpha)
-    if table is None:
-        raise StatsError(f"alpha must be one of {sorted(Q_ALPHA)}, got {alpha}")
-    if k not in table:
-        raise StatsError(f"k must be in [{min(table)}, {max(table)}], got {k}")
+    """CD = q_alpha * sqrt(k (k+1) / (6 N)), where q_alpha is the ``1 - alpha`` studentized-range
+    quantile at infinite degrees of freedom over sqrt(2) (Demšar 2006, JMLR 7), rounded to 6 decimals."""
+    if not 0 < alpha < 1:
+        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
+    if k < 2:
+        raise StatsError(f"k must be >= 2, got {k}")
     if n_datasets < 1:
         raise StatsError(f"need at least one dataset, got {n_datasets}")
-    q = table[k]
+    from scipy.stats import studentized_range
+    q = round(float(studentized_range.ppf(1 - alpha, k, np.inf)) / 2**0.5, 6)
     return CriticalDistance(alpha=alpha, q_alpha=q, cd=q * np.sqrt(k * (k + 1) / (6.0 * n_datasets)))
 
 

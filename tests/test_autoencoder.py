@@ -8,7 +8,6 @@ from core.compressors.autoencoder import (
     AutoencoderParams,
     TrainConfig,
     autoencoder_forward,
-    batchnorm,
     embed_autoencoder,
     init_params,
     reconstruction_loss_and_grads,
@@ -46,25 +45,35 @@ def test_softsign_odd_and_bounded():
 
 
 def test_batchnorm_constant_column():
-    np.testing.assert_array_equal(batchnorm(np.array([5.0, 5.0, 5.0]), 1e-5), [0.0, 0.0, 0.0])
+    # Zero batch variance: the column normalizes to 0 (divided by sqrt(bn_eps) alone), not to nan.
+    stats = []
+    loss, grads = reconstruction_loss_and_grads(identity_params(1), np.full((3, 1), 5.0), stats_out=stats)
+    assert stats[0][1] == 0.0
+    assert loss == 25.0  # softsign(0) = 0 reconstructs 0 against 5
+    assert np.all(np.isfinite(_flat_grads(grads)))
 
 
 def test_batchnorm_population_variance():
-    # Population variance of [-1, 1] is 1, so tiny eps leaves the values fixed.
-    out = batchnorm(np.array([-1.0, 1.0]), 1e-15)
-    np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-12)
+    # Population variance of [-1, 1] is 1 (the sample variance would be 2).
+    stats = []
+    reconstruction_loss_and_grads(identity_params(1), np.array([[-1.0], [1.0]]), stats_out=stats)
+    assert stats[0][0] == 0.0
+    assert stats[0][1] == 1.0
 
 
 def test_batchnorm_zero_mean():
+    # Batch norm subtracts the batch mean, so a hidden-layer bias cannot change the loss.
     rng = np.random.default_rng(1)
     x = rng.standard_normal((40, 6)) * 7 + 3
-    out = batchnorm(x, 1e-5)
-    np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    p = init_params(6, 3, "large", rng, TrainConfig(dropout_rate=0.0))
+    _, grads = reconstruction_loss_and_grads(p, x)
+    for g in grads["biases"][:-1]:
+        np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
 
 def test_batchnorm_rejects_nonpositive_eps():
     with pytest.raises(CompressorError):
-        batchnorm(np.array([1.0, 2.0]), 0.0)
+        TrainConfig(bn_eps=0.0)
 
 
 def test_forward_identity_weights_is_softsign():

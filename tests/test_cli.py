@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from core.cli import main
-from core.compressors import CompressorSpec
+from core.compressors import KINDS, CompressorSpec
 from core.io import load_embeddings
 from core.pipeline import compress_recursive, dimension_schedule
 
@@ -27,8 +27,12 @@ def test_schedule_prints_dims(capsys):
     assert out == ["384", "192", "96", "48", "24", "12", "6", "3", "2"]
 
 
-def test_schedule_bad_kappa_exit_code():
-    assert main(["schedule", "--d0", "64", "--kappa", "1"]) == 1
+def test_schedule_bad_kappa_exit_code(tmp_path):
+    # A kappa below 2 is bad configuration, as it is in a config file; d0 <= kappa is a schedule failure.
+    assert main(["schedule", "--d0", "64", "--kappa", "1"]) == 2
+    assert main(["compress", "--input", str(tmp_path / "absent.core"), "--spec", str(tmp_path / "absent.json"),
+                 "--kappa", "1", "--out", str(tmp_path / "steps")]) == 2
+    assert main(["schedule", "--d0", "2", "--kappa", "2"]) == 1
 
 
 def test_synth_writes_dataset_and_manifest(synth_dir):
@@ -352,6 +356,30 @@ def test_duplicate_score_is_an_error_not_a_silent_overwrite(tmp_path, capsys):
     assert main(["report", "--records", records, "--out", str(tmp_path / "report"), "--step", "1"]) == 0
     assert "skipping CD diagram: duplicate score" in capsys.readouterr().err
     assert not (tmp_path / "report" / "cd_step_1.svg").exists()
+
+
+def test_stats_any_alpha_and_method_count(tmp_path, capsys):
+    # Two representations x 9 kinds x 2 modes rank 36 methods, past the k = 20 of published tables.
+    methods = [(rep, kind, mode) for rep in ("glove", "bert") for kind in KINDS for mode in ("recursive", "direct")]
+
+    def thirty_six_methods(data):
+        data["records"] = [
+            dict(data["records"][0], dataset=ds, representation=rep, compressor=kind, mode=mode, step=2, dim=4,
+                 epsilon_f1=0.001 * ((7 * j + 5 * i) % 36))
+            for i, ds in enumerate(("a", "b", "c"))
+            for j, (rep, kind, mode) in enumerate(methods)
+        ]
+
+    _results_file(tmp_path / "results.json", thirty_six_methods)
+    records = str(tmp_path / "results.json")
+    assert main(["stats", "--records", records]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["methods"]) == 36
+    assert np.isfinite(payload["q_alpha"]) and payload["q_alpha"] > 3.543799  # k = 20 at alpha 0.05
+    assert main(["stats", "--records", records, "--alpha", "0.01"]) == 0
+    strict = json.loads(capsys.readouterr().out)
+    assert strict["alpha"] == 0.01
+    assert np.isfinite(strict["q_alpha"]) and strict["q_alpha"] > payload["q_alpha"]
 
 
 TRAIN_RANGE_SPECS = {

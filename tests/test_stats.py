@@ -9,7 +9,6 @@ from scipy import stats as sps
 
 from core.errors import StatsError
 from core.stats import (
-    Q_ALPHA,
     CriticalDistance,
     RankGroup,
     average_ranks,
@@ -92,23 +91,39 @@ def test_nemenyi_formula_and_homogeneity():
 
 
 def test_nemenyi_known_table_values():
-    # Cross-check the generated table against published critical values.
-    assert Q_ALPHA[0.05][2] == pytest.approx(1.960, abs=2e-3)
-    assert Q_ALPHA[0.05][3] == pytest.approx(2.343, abs=2e-3)
-    assert Q_ALPHA[0.05][10] == pytest.approx(3.164, abs=2e-3)
-    assert Q_ALPHA[0.10][2] == pytest.approx(1.645, abs=2e-3)
-    assert Q_ALPHA[0.10][5] == pytest.approx(2.459, abs=2e-3)
+    # Cross-check the computed q_alpha against published critical values.
+    assert nemenyi_cd(2, 1, 0.05).q_alpha == pytest.approx(1.960, abs=2e-3)
+    assert nemenyi_cd(3, 1, 0.05).q_alpha == pytest.approx(2.343, abs=2e-3)
+    assert nemenyi_cd(10, 1, 0.05).q_alpha == pytest.approx(3.164, abs=2e-3)
+    assert nemenyi_cd(2, 1, 0.10).q_alpha == pytest.approx(1.645, abs=2e-3)
+    assert nemenyi_cd(5, 1, 0.10).q_alpha == pytest.approx(2.459, abs=2e-3)
     cd = nemenyi_cd(3, 17, 0.05)
-    assert cd.cd == pytest.approx(Q_ALPHA[0.05][3] * np.sqrt(12.0 / 102.0))
+    assert cd.cd == pytest.approx(nemenyi_cd(3, 1, 0.05).q_alpha * np.sqrt(12.0 / 102.0))
 
 
-def test_nemenyi_out_of_table():
-    with pytest.raises(StatsError):
-        nemenyi_cd(21, 10, 0.05)
+@pytest.mark.parametrize(
+    "k,alpha,q",
+    [(2, 0.05, 1.959964), (8, 0.05, 3.030878), (18, 0.05, 3.488685), (5, 0.10, 2.459516), (20, 0.10, 3.319233)],
+)
+def test_nemenyi_q_alpha_rounded_to_six_decimals(k, alpha, q):
+    # Exact 6-decimal values: without the rounding the stats JSON and the CD diagrams change bytes.
+    assert nemenyi_cd(k, 1, alpha).q_alpha == q
+
+
+def test_nemenyi_two_methods_is_the_normal_quantile():
+    # For k = 2 the range of two standard normals is |N(0, 2)|, so q_alpha is the two-sided normal quantile.
+    for alpha in (0.05, 0.10, 0.01):
+        assert nemenyi_cd(2, 1, alpha).q_alpha == round(sps.norm.ppf(1 - alpha / 2), 6)
+
+
+def test_nemenyi_rejects_invalid_arguments():
     with pytest.raises(StatsError):
         nemenyi_cd(1, 10, 0.05)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(StatsError):
+            nemenyi_cd(5, 10, alpha)
     with pytest.raises(StatsError):
-        nemenyi_cd(5, 10, 0.01)
+        nemenyi_cd(5, 0, 0.05)
 
 
 def test_groups_all_equal_ranks():
