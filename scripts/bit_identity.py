@@ -6,12 +6,12 @@ process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
-kappa 2 and 4, ``compress --seed 7`` in both modes, plus six commands that must
-fail: ``schedule --kappa 1``, and ``compress`` with fewer documents than the
-first step's dimension, a CSV input with a ragged row, an unparseable token or a
-``nan``, and an autoencoder whose training diverges. The exit code, stdout and
-stderr of each command are compared too (``log.txt``), so every failure message
-is compared byte for byte.
+kappa 2 and 4, ``compress --seed 7`` in both modes, plus eight commands that must
+fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``, and
+``compress`` with fewer documents than the first step's dimension, a CSV input
+with a ragged row, an unparseable token or a ``nan``, and an autoencoder whose
+training diverges. The exit code, stdout and stderr of each command are compared
+too (``log.txt``), so every failure message is compared byte for byte.
 
 Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
 flow's own directory in ``results.json`` (the prefix of the absolute paths in its
@@ -96,6 +96,8 @@ def flow_commands() -> list[list[str]]:
                      "--seed", "7", "--out", f"compress/svd-{mode}-seed7"])
     cmds += [
         ["schedule", "--d0", "64", "--kappa", "1"],
+        ["report", "--records", "results_t1/results.json", "--out", "report_bad_alpha", "--alpha", "2"],
+        ["report", "--records", "results_t1/results.json", "--out", "report_bad_margin", "--margin", "-1"],
         ["evaluate", "--input", "compress/svd-rec-k2/step_2.core", "--baseline", "data/a.core",
          "--labels", "data/a.labels", "--seed", "7", "--out", "evaluate.json"],
         ["compress", "--input", "short/short.core", "--spec", "specs/svd-exact.json", "--mode", "dir",

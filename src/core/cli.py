@@ -288,7 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_lower_bounds({name: getattr(args, name, None) for name in ("kappa", "folds", "repeats", "seed")})
+        check_lower_bounds(vars(args))
+        if "alpha" in args and not 0 < args.alpha < 1:  # nemenyi_cd's rule, checked before any work
+            raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

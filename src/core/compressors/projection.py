@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import CompressorError
 from .base import FittedCompressor
@@ -13,7 +12,7 @@ from .base import FittedCompressor
 
 @dataclass(frozen=True)
 class ProjectionState:
-    matrix: sparse.csr_array  # (d_in, d_out)
+    matrix: "scipy.sparse.csr_array"  # (d_in, d_out); scipy.sparse is imported where one is made
 
     def apply(self, e: np.ndarray) -> np.ndarray:
         return e @ self.matrix
@@ -24,6 +23,7 @@ class ProjectionState:
 
     @classmethod
     def from_arrays(cls, blob, meta) -> "ProjectionState":
+        from scipy import sparse
         arrays = (blob["proj_data"], blob["proj_indices"], blob["proj_indptr"])
         return cls(sparse.csr_array(arrays, shape=(meta["input_dim"], meta["output_dim"])))
 
@@ -36,6 +36,7 @@ def fit_sparse_projection(d_in: int, d_out: int, seed: int = 0) -> FittedCompres
     """Entries are 0 with probability 1-s, else +-sqrt(1/(s*d_out)) with equal sign odds."""
     if not 1 <= d_out <= d_in:
         raise CompressorError(f"d_out must be in [1, {d_in}], got {d_out}")
+    from scipy import sparse
     rng = np.random.default_rng(seed)
     density = projection_density(d_in)
     mask = rng.random((d_in, d_out)) < density

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import EvaluationError
 from .io import Labels
@@ -14,6 +13,16 @@ from .pipeline import mix64
 DEFAULT_C = 1.0
 MAX_ITER = 500
 GRAD_TOL = 1e-5
+
+
+def __getattr__(name: str):
+    # scipy.optimize (~0.45 s to import) is bound as the global `optimize` at its first read, so only
+    # commands that fit a classifier pay for it; train_logreg calls whatever that global then holds.
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global optimize
+    from scipy import optimize
+    return optimize
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,8 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
     if not np.all(np.isfinite(x)):
         raise EvaluationError("non-finite feature values")
     theta0 = np.zeros(n_classes * x.shape[1] + n_classes)
-    result = optimize.minimize(
+    optimizer = globals().get("optimize") or __getattr__("optimize")  # scipy.optimize, or a stand-in
+    result = optimizer.minimize(
         logreg_loss_and_grad,
         theta0,
         args=(x, y, n_classes, c),

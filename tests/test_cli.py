@@ -382,6 +382,36 @@ def test_stats_any_alpha_and_method_count(tmp_path, capsys):
     assert np.isfinite(strict["q_alpha"]) and strict["q_alpha"] > payload["q_alpha"]
 
 
+BAD_RANKING_FLAGS = {
+    "stats-alpha-two": ("stats", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    "stats-alpha-zero": ("stats", ["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    "report-alpha-two": ("report", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    "report-alpha-zero": ("report", ["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
+    "report-alpha-negative": ("report", ["--alpha", "-1"], "alpha must be in (0, 1), got -1.0"),
+    "report-alpha-nan": ("report", ["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    "report-margin-negative": ("report", ["--margin", "-1"], "margin must be >= 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("command, flag, message", BAD_RANKING_FLAGS.values(), ids=BAD_RANKING_FLAGS.keys())
+def test_out_of_range_ranking_flag_exit_two(tmp_path, capsys, command, flag, message):
+    # Checked before any work, like the same values in a config: one error line, no output and no report.
+    _results_file(tmp_path / "results.json", lambda data: None)
+    argv = [command, "--records", str(tmp_path / "results.json"), *flag]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "report")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_margin_zero_is_accepted(tmp_path, capsys):
+    _results_file(tmp_path / "results.json", lambda data: None)
+    assert main(["report", "--records", str(tmp_path / "results.json"), "--out", str(tmp_path / "report"),
+                 "--margin", "0", "--alpha", "0.5"]) == 0
+    assert (tmp_path / "report" / "cd_step_2.svg").exists()
+
+
 TRAIN_RANGE_SPECS = {
     "bn-eps-zero": ({"kind": "neural-small", "params": {"bn_eps": 0}}, "bn_eps must be > 0, got 0"),
     "dropout-one": ({"kind": "neural-large", "params": {"dropout_rate": 1.0}}, "dropout_rate must be in [0, 1), got 1.0"),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -264,3 +269,43 @@ def test_train_logreg_bit_identical_to_reference_fit(monkeypatch):
     reference = train_logreg(x, labels.ids)
     assert np.array_equal(fast.weights, reference.weights)
     assert np.array_equal(fast.intercepts, reference.intercepts)
+
+
+def test_optimize_is_scipy_optimize_at_first_read():
+    # A fresh interpreter, so that this read is the first: core.evaluation imports no optimizer itself.
+    probe = (
+        "import sys, core.evaluation as ev\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "first = ev.optimize\n"
+        "import scipy.optimize\n"
+        "print(first is scipy.optimize, vars(ev)['optimize'] is first, ev.optimize is first)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
+def test_train_logreg_calls_the_optimizer_bound_to_the_module(monkeypatch):
+    # Tracing swaps core.evaluation.optimize for a stand-in and relies on train_logreg calling it.
+    import scipy.optimize
+
+    from core import evaluation
+
+    assert evaluation.optimize is scipy.optimize
+    x, labels = gaussian_blobs(15, [(-2.0, 0.0, 1.0), (2.0, 1.0, 0.0), (0.0, 3.0, -1.0)], 1.2, seed=12)
+    expected = train_logreg(x, labels.ids)
+    methods = []
+
+    class StandIn:
+        def minimize(self, *args, **kwargs):
+            methods.append(kwargs["method"])
+            return scipy.optimize.minimize(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "optimize", StandIn())
+    fitted = train_logreg(x, labels.ids)
+    monkeypatch.undo()
+    assert methods == ["L-BFGS-B"]
+    assert fitted.weights.tobytes() == expected.weights.tobytes()
+    assert fitted.intercepts.tobytes() == expected.intercepts.tobytes()
+    assert evaluation.optimize is scipy.optimize

@@ -1,0 +1,77 @@
+"""Which scipy parts each command loads, each checked in a fresh interpreter.
+
+Importing ``scipy.optimize`` takes about 0.45 s and ``scipy.sparse`` about 0.2 s, so a command
+loads only the parts it runs: ``scipy.optimize`` at the first classifier fit, ``scipy.sparse``
+for ``sparse-projection`` and ``scipy.stats`` when ranking.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Runs ``core <argv>`` (or only imports core.cli when argv is empty) and prints, as its last line,
+# the exit code and the sorted names of the loaded modules that start with "scipy".
+PROBE = """
+import json, sys
+from core.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def _scipy_loaded(cwd: Path, *argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+SYNTH = ["synth", "--docs", "40", "--classes", "2", "--rank", "4", "--dim", "16", "--seed", "5", "--out", "data",
+         "--name", "tiny"]
+
+
+@pytest.fixture
+def tiny(tmp_path, monkeypatch):
+    """A directory holding a 40x16 synthetic dataset in ``data/tiny.core``."""
+    from core.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(SYNTH) == 0
+    return tmp_path
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_loaded(tmp_path) == set()
+
+
+def test_schedule_loads_no_scipy(tmp_path):
+    assert _scipy_loaded(tmp_path, "schedule", "--d0", "384", "--kappa", "2") == set()
+
+
+def test_synth_loads_no_scipy(tmp_path):
+    assert _scipy_loaded(tmp_path, *SYNTH) == set()
+    assert (tmp_path / "data" / "tiny.core").exists()
+
+
+@pytest.mark.parametrize("mode", ["rec", "dir"])
+def test_compress_svd_exact_loads_no_scipy(tiny, mode):
+    (tiny / "spec.json").write_text('{"kind": "svd-exact", "seed": 1}')
+    assert _scipy_loaded(tiny, "compress", "--input", "data/tiny.core", "--spec", "spec.json", "--mode", mode,
+                         "--out", "steps", "--save-states") == set()
+    assert (tiny / "steps" / "state_1.npz").exists()
+
+
+def test_compress_sparse_projection_loads_scipy_sparse_only(tiny):
+    (tiny / "spec.json").write_text('{"kind": "sparse-projection", "seed": 1}')
+    loaded = _scipy_loaded(tiny, "compress", "--input", "data/tiny.core", "--spec", "spec.json",
+                           "--out", "steps", "--save-states")
+    assert "scipy.sparse" in loaded
+    assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded)
