@@ -6,9 +6,11 @@ process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
-kappa 2 and 4, ``compress --seed 7`` in both modes, plus eight commands that must
-fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``, and
-``compress`` with fewer documents than the first step's dimension, a CSV input
+kappa 2 and 4, ``compress --seed 7`` in both modes, plus thirteen commands that
+must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
+``synth --classes 1``, ``run`` with an empty manifest or one with an empty path,
+``stats`` on a results file of schema version 2, and ``compress`` with fewer
+documents than the first step's dimension, a binary input of 0 rows, a CSV input
 with a ragged row, an unparseable token or a ``nan``, and an autoencoder whose
 training diverges. The exit code, stdout and stderr of each command are compared
 too (``log.txt``), so every failure message is compared byte for byte.
@@ -33,6 +35,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -56,6 +59,8 @@ NEURAL_PARAMS = {"max_epochs": 20}
 DIVERGING_PARAMS = {"learning_rate": 1e12, "max_epochs": 50}
 # CSV inputs that the reader rejects: a ragged row, an unparseable token and a non-finite value.
 BAD_CSV = {"ragged": "1.0,2.0\n3.0\n", "token": "1.0,2.0\n3.0,x\n", "nan": "1.0,2.0\n3.0,nan\n"}
+# Manifests that ``run`` rejects: no entries, and an entry with an empty embeddings path.
+BAD_MANIFESTS = {"empty": "[]", "no-path": '[{"name": "x", "embeddings": "", "labels": "x.labels"}]'}
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
@@ -107,6 +112,13 @@ def flow_commands() -> list[list[str]]:
     for name in BAD_CSV:
         cmds.append(["compress", "--input", f"bad/{name}.csv", "--format", "csv", "--spec", "specs/svd.json",
                      "--out", f"compress/bad-{name}"])
+    for name in BAD_MANIFESTS:
+        cmds.append(["run", "--config", f"bad/{name}-cfg.json"])
+    cmds += [
+        ["compress", "--input", "bad/zero-rows.core", "--spec", "specs/svd.json", "--out", "compress/zero-rows"],
+        ["stats", "--records", "bad/schema2.json"],
+        ["synth", "--classes", "1", "--out", "bad-synth"],
+    ]
     return cmds
 
 
@@ -123,6 +135,12 @@ def run_flow(out: Path) -> None:
     Path("bad").mkdir()
     for name, text in BAD_CSV.items():
         Path("bad", f"{name}.csv").write_text(text)
+    for name, text in BAD_MANIFESTS.items():
+        Path("bad", f"{name}.json").write_text(text)
+        cfg = {"manifest": f"bad/{name}.json", "specs": [_spec("svd", 1)], "out_dir": f"results-{name}"}
+        Path("bad", f"{name}-cfg.json").write_text(json.dumps(cfg))
+    Path("bad", "zero-rows.core").write_bytes(b"CORE" + struct.pack("<II", 0, 4))
+    Path("bad", "schema2.json").write_text(json.dumps({"schema_version": 2, "meta": {}, "records": []}))
     Path("cfg.json").write_text(json.dumps({
         "manifest": "data/manifest.json",
         "specs": [_spec(kind, i + 1) for i, kind in enumerate(KINDS)],

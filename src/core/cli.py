@@ -119,11 +119,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config_path = args.config or args.global_config
-    if config_path is None:
+    if args.config is None:
         raise ConfigError("run requires --config")
     overrides = {"seed": args.seed, "threads": args.threads, "out_dir": args.out}
-    cfg = replace(load_config(config_path), **{k: v for k, v in overrides.items() if v is not None})
+    cfg = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
     table = run_experiment(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -208,8 +207,6 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="core", description=__doc__)
-    parser.add_argument("--config", default=None, dest="global_config",
-                        help="experiment config JSON (run)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schedule", help="print the dimension schedule, one per line")

@@ -20,7 +20,7 @@ from .autoencoder import AutoencoderParams, TrainConfig, fit_autoencoder
 from .base import FittedCompressor, transform
 from .cluster import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterState, fit_cluster_aggregate, prepare_columns
 from .projection import ProjectionState, fit_sparse_projection, projection_density
-from .subspace import SubspaceState, fit_random_subspace, random_subspace
+from .subspace import SubspaceState, fit_random_subspace
 from .svd import (
     DEFAULT_OVERSAMPLE,
     DEFAULT_POWER_ITERS,
@@ -184,6 +184,5 @@ __all__ = [
     "fit_autoencoder",
     "exact_truncated_svd",
     "randomized_truncated_svd",
-    "random_subspace",
     "projection_density",
 ]

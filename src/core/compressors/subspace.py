@@ -37,10 +37,3 @@ def fit_random_subspace(d_in: int, d_out: int, seed: int = 0) -> FittedCompresso
     rng = np.random.default_rng(seed)
     columns = np.sort(rng.choice(d_in, size=d_out, replace=False))
     return FittedCompressor("random-subspace", d_in, d_out, SubspaceState(columns))
-
-
-def random_subspace(e: np.ndarray, d_out: int, seed: int = 0) -> np.ndarray:
-    """One-shot convenience: select d_out columns of e and normalize rows."""
-    e = np.asarray(e, dtype=np.float64)
-    fc = fit_random_subspace(e.shape[1], d_out, seed)
-    return fc.state.apply(e)

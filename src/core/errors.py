@@ -54,7 +54,7 @@ class EvaluationError(CoreError):
 
 
 class StatsError(CoreError):
-    """Invalid rank-statistics input (degenerate shapes, missing table entry)."""
+    """Invalid rank-statistics input (degenerate shapes)."""
 
 
 class ConfigError(CoreError):

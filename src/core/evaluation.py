@@ -26,15 +26,9 @@ def __getattr__(name: str):
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
-    fold_of: np.ndarray  # fold id per document
-
-
-@dataclass(frozen=True)
 class ClassifierModel:
     weights: np.ndarray  # (n_classes, dim)
     intercepts: np.ndarray  # (n_classes,)
-    c: float
 
 
 @dataclass(frozen=True)
@@ -59,8 +53,8 @@ class EvaluationRecord:
     extra: dict = field(default_factory=dict, compare=False)
 
 
-def stratified_kfold(labels: Labels, k: int, seed: int) -> FoldAssignment:
-    """Per-class shuffle then round-robin fold assignment; deterministic given seed."""
+def stratified_kfold(labels: Labels, k: int, seed: int) -> np.ndarray:
+    """Fold id per document: per-class shuffle then round-robin; deterministic given seed."""
     if k < 2:
         raise EvaluationError(f"fold count must be >= 2, got {k}")
     rng = np.random.default_rng(seed)
@@ -73,7 +67,7 @@ def stratified_kfold(labels: Labels, k: int, seed: int) -> FoldAssignment:
             )
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % k
-    return FoldAssignment(fold_of)
+    return fold_of
 
 
 def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float):
@@ -142,7 +136,6 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
     return ClassifierModel(
         weights=theta[: n_classes * dim].reshape(n_classes, dim),
         intercepts=theta[n_classes * dim :],
-        c=c,
     )
 
 
@@ -198,9 +191,9 @@ def evaluate_matrices(
         e = np.asarray(e, dtype=np.float64)
         if e.shape[0] != len(labels):
             raise EvaluationError(f"repeat {r}: {e.shape[0]} rows but {len(labels)} labels")
-        folds = stratified_kfold(labels, k, mix64(seed, r))
+        fold_of = stratified_kfold(labels, k, mix64(seed, r))
         for f in range(k):
-            test = folds.fold_of == f
+            test = fold_of == f
             model = train_logreg(e[~test], labels.ids[~test])
             scores.append((r, f, micro_f1(predict(model, e[test]), labels.ids[test])))
     values = np.array([s for _, _, s in scores])

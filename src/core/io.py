@@ -56,14 +56,6 @@ class ManifestEntry:
     representation: str
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
-    rows: int
-    cols: int
-    n_classes: int
-    min_class_count: int
-
-
 def read_input(path: str | Path, error: type[CoreError], what: str, parse: Callable[[str], Any]) -> Any:
     """``parse`` of the UTF-8 text of the input file ``path``; a file that cannot be read,
     decoded or parsed raises ``error`` with the message ``cannot read <what> <path>: <reason>``."""
@@ -92,7 +84,7 @@ def load_embeddings(path: str | Path, fmt: str = "binary", header: bool = False)
         return _load_binary(Path(path))
     if fmt == "csv":
         return _load_csv(Path(path), header=header)
-    raise ValueError(f"unknown matrix format {fmt!r}")
+    raise MatrixFormatError(f"unknown matrix format {fmt!r}")
 
 
 def _load_binary(path: Path) -> np.ndarray:
@@ -133,19 +125,12 @@ def _load_csv(path: Path, header: bool = False) -> np.ndarray:
     return _check_matrix(np.array(rows, dtype=np.float64))
 
 
-def save_matrix(m: np.ndarray, path: str | Path, fmt: str = "binary") -> None:
-    """Write a matrix; binary stores f32, CSV uses round-trippable precision."""
+def save_matrix(m: np.ndarray, path: str | Path) -> None:
+    """Write a matrix in the binary layout, as f32."""
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
     _check_matrix(m)
-    path = Path(path)
-    if fmt == "binary":
-        payload = m.astype("<f4").tobytes()
-        path.write_bytes(MAGIC + struct.pack("<II", m.shape[0], m.shape[1]) + payload)
-    elif fmt == "csv":
-        text = "\n".join(",".join(repr(v) for v in row) for row in m.tolist())
-        path.write_text(text + "\n")
-    else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+    payload = m.astype("<f4").tobytes()
+    Path(path).write_bytes(MAGIC + struct.pack("<II", m.shape[0], m.shape[1]) + payload)
 
 
 def load_labels(path: str | Path) -> Labels:
@@ -204,7 +189,7 @@ def check_manifest(path: Path, entries: Any) -> list[ManifestEntry]:
     return out
 
 
-def validate_dataset(e: np.ndarray, labels: Labels, k: int) -> DatasetInfo:
+def validate_dataset(e: np.ndarray, labels: Labels, k: int) -> None:
     """Check that matrix and labels pair up and every class supports k folds."""
     if e.shape[0] != len(labels):
         raise DatasetError(f"{e.shape[0]} embedding rows but {len(labels)} labels")
@@ -214,10 +199,3 @@ def validate_dataset(e: np.ndarray, labels: Labels, k: int) -> DatasetInfo:
         raise DatasetError(
             f"class {labels.names[smallest]!r} has {int(counts[smallest])} members, fewer than {k} folds"
         )
-    return DatasetInfo(
-        rows=int(e.shape[0]),
-        cols=int(e.shape[1]),
-        n_classes=labels.n_classes,
-        min_class_count=int(counts.min()),
-    )
-

@@ -103,10 +103,7 @@ def _run(
             if mode == "direct" and i == 1:
                 # Every direct step fits on e0: the work they share is done once, in step 1's time.
                 prepared = prepare(spec, e0)
-            # Kinds with nothing to share keep fit's three-argument call: tests/test_experiment.py
-            # replaces pipeline.fit with a stand-in that takes exactly (spec, e, d_out).
-            args = (spec.with_seed(step_seed), source, dim)
-            fc = fit(*args) if prepared is None else fit(*args, prepared)
+            fc = fit(spec.with_seed(step_seed), source, dim, prepared)
             out = transform(fc, source)
         except CoreError as exc:
             raise CompressionStepError(f"step {i}: {exc}") from exc

@@ -95,7 +95,7 @@ def test_run_stats_report_pipeline(synth_dir, tmp_path, capsys):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["--config", str(cfg_path), "run"]) == 0
+    assert main(["run", "--config", str(cfg_path)]) == 0
     results = tmp_path / "results" / "results.json"
     assert results.exists()
     capsys.readouterr()
@@ -128,19 +128,19 @@ def test_run_missing_dataset_exit_one(synth_dir, tmp_path):
     (synth_dir / "manifest.json").write_text(json.dumps(entries))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["--config", str(cfg_path), "run"]) == 1
+    assert main(["run", "--config", str(cfg_path)]) == 1
 
 
 def test_run_bad_config_exit_two(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"manifest": "m.json", "specs": []}')
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
 
 
 def test_unknown_compressor_kind_exit_two(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"manifest": "m.json", "specs": [{"kind": "umap"}]}')
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
 
 
 def test_compress_save_states(synth_dir, tmp_path):
@@ -195,7 +195,7 @@ def test_run_malformed_manifest_exit_one(tmp_path, capsys, manifest):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"manifest": str(tmp_path / "manifest.json"),
                                     "specs": [{"kind": "svd"}], "out_dir": str(tmp_path / "results")}))
-    assert main(["--config", str(cfg_path), "run"]) == 1
+    assert main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -238,7 +238,7 @@ def test_run_param_of_wrong_type_exit_two(synth_dir, tmp_path, capsys, spec):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [spec],
                                     "repeats": 1, "out_dir": str(tmp_path / "results")}))
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
     assert "must be" in capsys.readouterr().err
 
 
@@ -269,7 +269,7 @@ def test_run_unknown_config_key_exit_two(synth_dir, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
                                     "repeat": 5, "out_dir": str(tmp_path / "results")}))
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith("error: bad experiment config")
     assert not (tmp_path / "results").exists()
 
@@ -289,7 +289,7 @@ def test_run_bad_config_value_exit_two(synth_dir, tmp_path, capsys, override):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
                                     "out_dir": str(tmp_path / "results"), **override}))
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {next(iter(override))} must be")
     assert not (tmp_path / "results").exists()
 
@@ -428,7 +428,7 @@ def test_autoencoder_param_out_of_train_range_exit_two(synth_dir, tmp_path, caps
     assert not (tmp_path / "steps").exists()
     (tmp_path / "cfg.json").write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [spec],
                                                     "repeats": 1, "out_dir": str(tmp_path / "results")}))
-    assert main(["--config", str(tmp_path / "cfg.json"), "run"]) == 2
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
     assert capsys.readouterr().err.endswith(f"{message}\n")
     assert not (tmp_path / "results").exists()
 
@@ -499,6 +499,48 @@ def test_run_without_config_exit_two(capsys):
     assert capsys.readouterr().err == "error: run requires --config\n"
 
 
+def test_config_before_the_command_is_a_usage_error(tmp_path):
+    # --config belongs to `run` alone; before the command argparse rejects it.
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "cfg.json"), "run"])
+    assert exc.value.code == 2
+
+
+INPUT_ERROR_LINES = ["empty-manifest", "manifest-empty-path", "zero-row-matrix", "results-schema-2", "synth-one-class"]
+
+
+@pytest.mark.parametrize("case", INPUT_ERROR_LINES)
+def test_input_error_exit_code_and_line(tmp_path, capsys, case):
+    import struct
+
+    def path(name):
+        return str(tmp_path / name)
+
+    (tmp_path / "empty.json").write_text("[]")
+    (tmp_path / "no_path.json").write_text('[{"name": "x", "embeddings": "", "labels": "x.labels"}]')
+    for name in ("empty", "no_path"):
+        (tmp_path / f"{name}_cfg.json").write_text(json.dumps(
+            {"manifest": path(f"{name}.json"), "specs": [{"kind": "svd"}], "out_dir": path("out")}))
+    (tmp_path / "zero.core").write_bytes(b"CORE" + struct.pack("<II", 0, 4))
+    (tmp_path / "spec.json").write_text('{"kind": "svd"}')
+    _results_file(tmp_path / "results.json", lambda d: d.update(schema_version=2))
+    argv, code, message = {
+        "empty-manifest": (["run", "--config", path("empty_cfg.json")], 1,
+                           f"{path('empty.json')}: manifest must be a non-empty JSON array"),
+        "manifest-empty-path": (["run", "--config", path("no_path_cfg.json")], 1,
+                                f"{path('no_path.json')}: dataset 'x' has empty paths"),
+        "zero-row-matrix": (["compress", "--input", path("zero.core"), "--spec", path("spec.json"),
+                             "--out", path("out")], 1, f"{path('zero.core')}: invalid shape 0x4"),
+        "results-schema-2": (["stats", "--records", path("results.json")], 1,
+                             f"unsupported results schema in {path('results.json')}"),
+        "synth-one-class": (["synth", "--classes", "1", "--out", path("out")], 2,
+                            "bad synthetic shape: docs=600, classes=1, rank=8, dim=64"),
+    }[case]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_stats_step_without_records_exit_one(tmp_path, capsys):
     _results_file(tmp_path / "results.json", lambda d: None)
     assert main(["stats", "--records", str(tmp_path / "results.json"), "--step", "9"]) == 1
@@ -546,7 +588,7 @@ def test_run_config_value_that_cannot_run_exit_two(synth_dir, tmp_path, capsys, 
     cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd"}],
                                     "out_dir": str(tmp_path / "results"), **override}))
     before = sorted(tmp_path.rglob("*"))
-    assert main(["--config", str(cfg_path), "run"]) == 2
+    assert main(["run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 

@@ -39,9 +39,9 @@ def gaussian_blobs(n_per_class, centers, spread, seed):
 
 def test_stratified_exact_divisibility():
     labels = make_labels([0, 0, 0, 0, 0, 0, 1, 1, 1])
-    folds = stratified_kfold(labels, 3, seed=0)
+    fold_of = stratified_kfold(labels, 3, seed=0)
     for f in range(3):
-        ids = labels.ids[folds.fold_of == f]
+        ids = labels.ids[fold_of == f]
         assert np.sum(ids == 0) == 2
         assert np.sum(ids == 1) == 1
 
@@ -56,15 +56,15 @@ def test_stratified_deterministic():
     labels = make_labels(np.arange(30) % 3)
     a = stratified_kfold(labels, 3, seed=5)
     b = stratified_kfold(labels, 3, seed=5)
-    np.testing.assert_array_equal(a.fold_of, b.fold_of)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_stratified_counts_within_one():
     rng = np.random.default_rng(1)
     labels = make_labels(np.sort(rng.integers(0, 4, size=53)))
-    folds = stratified_kfold(labels, 3, seed=2)
+    fold_of = stratified_kfold(labels, 3, seed=2)
     for cls in range(labels.n_classes):
-        per_fold = [np.sum((folds.fold_of == f) & (labels.ids == cls)) for f in range(3)]
+        per_fold = [np.sum((fold_of == f) & (labels.ids == cls)) for f in range(3)]
         assert max(per_fold) - min(per_fold) <= 1
 
 
@@ -122,17 +122,17 @@ def test_logreg_objective_nonincreasing_over_iterations():
 
 
 def test_predict_constant_bias():
-    model = ClassifierModel(weights=np.zeros((2, 3)), intercepts=np.array([1.0, 0.0]), c=1.0)
+    model = ClassifierModel(weights=np.zeros((2, 3)), intercepts=np.array([1.0, 0.0]))
     np.testing.assert_array_equal(predict(model, np.ones((4, 3))), [0, 0, 0, 0])
 
 
 def test_predict_tie_breaks_to_lowest_class():
-    model = ClassifierModel(weights=np.zeros((3, 2)), intercepts=np.zeros(3), c=1.0)
+    model = ClassifierModel(weights=np.zeros((3, 2)), intercepts=np.zeros(3))
     np.testing.assert_array_equal(predict(model, np.ones((2, 2))), [0, 0])
 
 
 def test_predict_dim_mismatch():
-    model = ClassifierModel(weights=np.zeros((2, 3)), intercepts=np.zeros(2), c=1.0)
+    model = ClassifierModel(weights=np.zeros((2, 3)), intercepts=np.zeros(2))
     with pytest.raises(EvaluationError):
         predict(model, np.ones((1, 4)))
 

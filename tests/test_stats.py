@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -208,14 +203,3 @@ def test_ranks_and_groups_equal_oracle(ties):
         for value in (0.0, float(rng.uniform(0.0, k)), float(k + 1)):
             cd = CriticalDistance(alpha=0.05, q_alpha=1.0, cd=value)
             assert cd_diagram_layout(r, cd) == oracle_cd_diagram_layout(r, cd)
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about 0.5 s to import; only the commands that rank may pay it.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, core.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

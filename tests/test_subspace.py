@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from core.compressors import fit_random_subspace, random_subspace
+from core.compressors import fit_random_subspace, transform
 from core.errors import CompressorError
+
+
+def random_subspace(e, d, seed):
+    return transform(fit_random_subspace(e.shape[1], d, seed), e)
 
 
 def test_full_subspace_keeps_all_columns_and_normalizes():
