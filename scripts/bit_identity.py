@@ -4,7 +4,8 @@
 Runs one fixed flow through ``core.cli.main`` against each tree, each in its own
 process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
-modes at ``--threads`` 1 and 2; ``stats`` and ``report`` at alpha 0.05 and 0.1;
+modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive, and
+in direct mode alone; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus thirteen commands that
 must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
@@ -61,6 +62,8 @@ DIVERGING_PARAMS = {"learning_rate": 1e12, "max_epochs": 50}
 BAD_CSV = {"ragged": "1.0,2.0\n3.0\n", "token": "1.0,2.0\n3.0,x\n", "nan": "1.0,2.0\n3.0,nan\n"}
 # Manifests that ``run`` rejects: no entries, and an entry with an empty embeddings path.
 BAD_MANIFESTS = {"empty": "[]", "no-path": '[{"name": "x", "embeddings": "", "labels": "x.labels"}]'}
+# ``run`` configs besides cfg.json's ["recursive", "direct"], by name: the same config with these modes.
+MODE_CONFIGS = {"dir-rec": ["direct", "recursive"], "dir": ["direct"]}
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
@@ -83,6 +86,9 @@ def flow_commands() -> list[list[str]]:
                  "--out", "short", "--name", "short"])
     for threads in (1, 2):
         cmds.append(["run", "--config", "cfg.json", "--threads", str(threads), "--out", f"results_t{threads}"])
+    # Direct before recursive (the direct task fits step 1), and direct alone (nothing to share).
+    for name in MODE_CONFIGS:
+        cmds.append(["run", "--config", f"cfg-{name}.json", "--out", f"results_{name}"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],
@@ -141,7 +147,7 @@ def run_flow(out: Path) -> None:
         Path("bad", f"{name}-cfg.json").write_text(json.dumps(cfg))
     Path("bad", "zero-rows.core").write_bytes(b"CORE" + struct.pack("<II", 0, 4))
     Path("bad", "schema2.json").write_text(json.dumps({"schema_version": 2, "meta": {}, "records": []}))
-    Path("cfg.json").write_text(json.dumps({
+    cfg = {
         "manifest": "data/manifest.json",
         "specs": [_spec(kind, i + 1) for i, kind in enumerate(KINDS)],
         "kappa": 2,
@@ -150,7 +156,10 @@ def run_flow(out: Path) -> None:
         "repeats": 1,
         "seed": 42,
         "out_dir": "results",
-    }))
+    }
+    Path("cfg.json").write_text(json.dumps(cfg))
+    for name, modes in MODE_CONFIGS.items():
+        Path(f"cfg-{name}.json").write_text(json.dumps(dict(cfg, modes=modes)))
     with open("log.txt", "w") as log:
         for cmd in flow_commands():
             stdout, stderr = io.StringIO(), io.StringIO()

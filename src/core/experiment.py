@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +109,9 @@ def make_synthetic_dataset(
 
 def write_synthetic_dataset(out_dir: str | Path, name: str, **kwargs) -> dict:
     """Write <name>.core and <name>.labels plus a manifest entry dict."""
+    e, labels = make_synthetic_dataset(**kwargs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    e, labels = make_synthetic_dataset(**kwargs)
     save_matrix(e, out_dir / f"{name}.core")
     save_labels(labels, out_dir / f"{name}.labels")
     return {
@@ -130,6 +131,29 @@ class _Dataset:
     labels: Labels
     eval_seed: int
     baseline_mean: float
+    # spec index -> [mode tasks not yet started, finished (step 1 per repeat, its EvalResult) or None]
+    step1: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+_STEP1_LOCK = threading.Lock()
+
+
+def _take_step1(cfg: ExperimentConfig, ds: _Dataset, spec_index: int):
+    """Start a mode task: the step 1 another mode task of (ds, spec) finished, or None.
+    The last mode task of the spec to start removes the entry, so no step 1 outlives it."""
+    with _STEP1_LOCK:
+        slot = ds.step1.setdefault(spec_index, [len(cfg.modes), None])
+        slot[0] -= 1
+        if not slot[0]:
+            del ds.step1[spec_index]
+        return slot[1]
+
+
+def _give_step1(ds: _Dataset, spec_index: int, step1) -> None:
+    """Keep a finished step 1 for the mode tasks of (ds, spec) that have not started yet."""
+    with _STEP1_LOCK:
+        if spec_index in ds.step1:
+            ds.step1[spec_index][1] = step1
 
 
 def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, step: int, dim: int,
@@ -144,7 +168,7 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
     step's scoring."""
     deadline = None if cfg.task_timeout is None else time.monotonic() + cfg.task_timeout
 
-    def check_deadline(*_step):
+    def check_deadline():
         if deadline is not None and time.monotonic() > deadline:
             raise CoreError(f"timed out after {cfg.task_timeout}s")
 
@@ -153,13 +177,27 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
     compress = compress_recursive if mode == "recursive" else compress_direct
     task_seed = mix64(mix64(cfg.seed, ds.index), spec_index)
     repeat_seeds = [mix64(task_seed, r) for r in range(cfg.repeats)]
-    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=check_deadline) for s in repeat_seeds]
-    records = []
+    # Step 1 is the same fit and score in both modes; a task reuses it only if it is already finished.
+    shared = _take_step1(cfg, ds, spec_index)
+    firsts = shared[0] if shared else [None] * cfg.repeats
+    fitted = []  # step 1's fitted compressor per repeat
+
+    def on_step(i, dim, out, fc):
+        check_deadline()
+        if i == 1:
+            fitted.append(fc)
+
+    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=on_step, first=f)
+            for s, f in zip(repeat_seeds, firsts)]
+    records, results = [], []
     for i, dim in enumerate(schedule.dims, start=1):
         check_deadline()
         mats = [run.outputs()[i - 1] for run in runs]
-        res = evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
+        res = shared[1] if shared and i == 1 else evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
+        results.append(res)
         records.append(_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds))
+    if not shared:
+        _give_step1(ds, spec_index, ([(run.steps[0], fc) for run, fc in zip(runs, fitted)], results[0]))
     return records
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -88,6 +88,7 @@ def _run(
     mode: str,
     retain: bool,
     on_step: Callable[[int, int, np.ndarray, FittedCompressor], None] | None,
+    first: tuple[StepResult, FittedCompressor] | None,
 ) -> CompressionRun:
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[1] != schedule.d0:
@@ -98,26 +99,22 @@ def _run(
     for i, dim in enumerate(schedule.dims, start=1):
         step_seed = mix64(spec.seed, i)
         source = current if mode == "recursive" else e0
-        start = time.perf_counter()
-        try:
-            if mode == "direct" and i == 1:
-                # Every direct step fits on e0: the work they share is done once, in step 1's time.
-                prepared = prepare(spec, e0)
-            fc = fit(spec.with_seed(step_seed), source, dim, prepared)
-            out = transform(fc, source)
-        except CoreError as exc:
-            raise CompressionStepError(f"step {i}: {exc}") from exc
-        seconds = time.perf_counter() - start
-        steps.append(
-            StepResult(
-                step=i,
-                dim=dim,
-                seed=step_seed,
-                seconds=seconds,
-                state_bytes=fc.state_bytes(),
-                output=out if retain else None,
-            )
-        )
+        if i == 1 and first is not None:
+            step, fc = first
+            out = step.output
+            steps.append(step if retain else replace(step, output=None))
+        else:
+            start = time.perf_counter()
+            try:
+                if mode == "direct" and i == (1 if first is None else 2):
+                    # Every direct step fits on e0: what they share is prepared once, in the first fitted step.
+                    prepared = prepare(spec, e0)
+                fc = fit(spec.with_seed(step_seed), source, dim, prepared)
+                out = transform(fc, source)
+            except CoreError as exc:
+                raise CompressionStepError(f"step {i}: {exc}") from exc
+            steps.append(StepResult(step=i, dim=dim, seed=step_seed, seconds=time.perf_counter() - start,
+                                    state_bytes=fc.state_bytes(), output=out if retain else None))
         if on_step is not None:
             on_step(i, dim, out, fc)
         current = out
@@ -130,9 +127,14 @@ def compress_recursive(
     schedule: CompressionSchedule,
     retain: bool = True,
     on_step=None,
+    first: tuple[StepResult, FittedCompressor] | None = None,
 ) -> CompressionRun:
-    """Fit each step on the previous step's output (E_0 = e0)."""
-    return _run(e0, spec, schedule, "recursive", retain, on_step)
+    """Fit each step on the previous step's output (E_0 = e0).
+
+    ``first`` is a finished step 1 (output retained) and its fitted compressor from
+    a run of this ``spec`` on this ``e0`` in either mode; the run continues at step 2.
+    """
+    return _run(e0, spec, schedule, "recursive", retain, on_step, first)
 
 
 def compress_direct(
@@ -141,9 +143,11 @@ def compress_direct(
     schedule: CompressionSchedule,
     retain: bool = True,
     on_step=None,
+    first: tuple[StepResult, FittedCompressor] | None = None,
 ) -> CompressionRun:
-    """Fit every target dimension on the original matrix (the "-dir" variants)."""
-    return _run(e0, spec, schedule, "direct", retain, on_step)
+    """Fit every target dimension on the original matrix (the "-dir" variants).
+    ``first`` is as in ``compress_recursive``."""
+    return _run(e0, spec, schedule, "direct", retain, on_step, first)
 
 
 @dataclass(frozen=True)

@@ -660,3 +660,10 @@ def test_synth_duplicate_name_in_existing_manifest_exit_one(synth_dir, capsys):
     assert capsys.readouterr().err == f"error: {manifest}: missing or duplicate dataset name 'tiny'\n"
     assert not (synth_dir / "other.core").exists()
     assert manifest.read_text() == before
+
+
+def test_synth_bad_shape_creates_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "X"
+    assert main(["synth", "--classes", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: bad synthetic shape: docs=600, classes=1, rank=8, dim=64\n")
+    assert not out.exists()

@@ -243,3 +243,145 @@ def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert str(info.value) == f"cannot read config {path}: [Errno 2] No such file or directory: '{path}'"
+
+
+# Step 1 is the same fit on E_0 with the same seed in both modes, so a run of both fits
+# and scores it once per (dataset, spec) and the other mode's task reuses it.
+SHARED_SPECS = (
+    CompressorSpec("svd-exact", seed=1),
+    CompressorSpec("cluster-mean", seed=2),
+    CompressorSpec("neural-small", seed=3, params={"max_epochs": 5}),
+)
+SHARED_STEPS = 3  # 16 -> 8 -> 4 -> 2
+
+
+def _records_by_key(table):
+    return {(r["dataset"], r["compressor"], r["mode"], r["step"]): json.dumps(r, sort_keys=True)
+            for r in table_to_dict(table)["records"]}
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_both_modes_fit_and_score_step_1_once(tmp_path, monkeypatch):
+    import collections
+
+    import core.experiment as experiment
+    import core.pipeline as pipeline
+
+    manifest = small_manifest(tmp_path)
+    fits, scores = [], []
+    _counting(monkeypatch, pipeline, "fit", fits)
+    _counting(monkeypatch, experiment, "evaluate_matrices", scores)
+    table = run_experiment(small_config(manifest, specs=SHARED_SPECS))
+    assert table.meta["errors"] == []
+    pairs = 2 * len(SHARED_SPECS)  # (dataset, spec)
+    per_pair = (2 * SHARED_STEPS - 1) * 2  # repeats=2
+    assert collections.Counter(args[0].kind for args in fits) == {s.kind: 2 * per_pair for s in SHARED_SPECS}
+    assert len(scores) == pairs * (2 * SHARED_STEPS - 1)
+
+
+def test_shared_step_1_records_match_separate_and_reordered_runs(tmp_path):
+    manifest = small_manifest(tmp_path)
+    both = run_experiment(small_config(manifest, specs=SHARED_SPECS))
+    separate = {}
+    for mode in ("recursive", "direct"):
+        separate.update(_records_by_key(run_experiment(small_config(manifest, specs=SHARED_SPECS, modes=(mode,)))))
+    assert _records_by_key(both) == separate
+    reordered = run_experiment(small_config(manifest, specs=SHARED_SPECS, modes=("direct", "recursive")))
+    assert _records_by_key(reordered) == separate
+    threaded = run_experiment(small_config(manifest, specs=SHARED_SPECS, threads=2))
+    assert table_to_dict(threaded)["records"] == table_to_dict(both)["records"]
+
+
+@pytest.mark.parametrize("modes", [("recursive", "direct"), ("direct",)])
+def test_no_step_output_outlives_the_mode_tasks_of_its_spec(tmp_path, monkeypatch, modes):
+    import gc
+    import weakref
+
+    import core.experiment as experiment
+    import core.pipeline as pipeline
+
+    manifest = small_manifest(tmp_path)
+    outputs, stored, current = {}, [], [None]
+    transform, run_task = pipeline.transform, experiment._run_task
+
+    def kept_transform(fc, e):
+        out = transform(fc, e)
+        outputs.setdefault(current[0], []).append(weakref.ref(out))
+        return out
+
+    def checked_task(cfg, ds, spec_index, mode):
+        gc.collect()
+        # Every output of an earlier (dataset, spec) is gone once a later one starts.
+        assert all(ref() is None for key, refs in outputs.items() if key != (ds.name, spec_index) for ref in refs)
+        current[0] = (ds.name, spec_index)
+        try:
+            return run_task(cfg, ds, spec_index, mode)
+        finally:
+            stored.append(len(ds.step1))
+
+    monkeypatch.setattr(pipeline, "transform", kept_transform)
+    monkeypatch.setattr(experiment, "_run_task", checked_task)
+    table = run_experiment(small_config(manifest, specs=SHARED_SPECS[:2], modes=modes))
+    assert table.meta["errors"] == []
+    gc.collect()
+    assert outputs and all(ref() is None for refs in outputs.values() for ref in refs)
+    # Both modes: the first task of a spec keeps its step 1 until the second starts; one mode keeps nothing.
+    assert stored == ([1, 0] * 4 if len(modes) == 2 else [0] * 4)
+
+
+def test_recursive_failure_after_step_1_leaves_direct_records_unchanged(tmp_path, monkeypatch):
+    import core.pipeline as pipeline
+    from core.errors import CompressorError
+
+    manifest = small_manifest(tmp_path, names=("only",))
+    specs = SHARED_SPECS[:1]
+    direct_only = _records_by_key(run_experiment(small_config(manifest, specs=specs, modes=("direct",))))
+    fit, step_1_fits = pipeline.fit, []
+
+    def fail_recursive_step_3(spec, e, d_out, prepared=None):
+        if e.shape[1] == 4:  # only recursive step 3 fits on a 4-column matrix
+            raise CompressorError("boom")
+        if d_out == 8:
+            step_1_fits.append(d_out)
+        return fit(spec, e, d_out, prepared)
+
+    monkeypatch.setattr(pipeline, "fit", fail_recursive_step_3)
+    table = run_experiment(small_config(manifest, specs=specs))
+    assert table.meta["errors"] == ["task only/svd-exact/recursive: step 3: boom"]
+    assert {k: v for k, v in _records_by_key(table).items() if k[1] != "baseline"} == {
+        k: v for k, v in direct_only.items() if k[1] != "baseline"}
+    # The recursive task fails in its first repeat and publishes nothing; the direct task fits both repeats.
+    assert len(step_1_fits) == 1 + 2
+
+
+def test_reused_step_1_is_followed_by_a_deadline_check(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    import core.experiment as experiment
+    import core.pipeline as pipeline
+
+    manifest = small_manifest(tmp_path, names=("only",))
+    clock, fits = [0.0], []
+    _counting(monkeypatch, pipeline, "fit", fits)
+    take = experiment._take_step1
+
+    def late_take(cfg, ds, spec_index):
+        shared = take(cfg, ds, spec_index)
+        if shared is not None:
+            clock[0] += 10.0  # the reusing task's time runs out before it fits step 2
+        return shared
+
+    monkeypatch.setattr(experiment, "_take_step1", late_take)
+    monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    table = run_experiment(small_config(manifest, specs=SHARED_SPECS[:1], repeats=1, task_timeout=1.0))
+    assert table.meta["errors"] == ["task only/svd-exact/direct: timed out after 1.0s"]
+    assert len(fits) == SHARED_STEPS  # the recursive task's; the direct task fitted nothing
