@@ -4,8 +4,8 @@
 Runs one fixed flow through ``core.cli.main`` against each tree, each in its own
 process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
-modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive, and
-in direct mode alone; ``stats`` and ``report`` at alpha 0.05 and 0.1;
+modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
+``--threads`` 1 and 2, and in direct mode alone; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus thirteen commands that
 must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
@@ -86,9 +86,11 @@ def flow_commands() -> list[list[str]]:
                  "--out", "short", "--name", "short"])
     for threads in (1, 2):
         cmds.append(["run", "--config", "cfg.json", "--threads", str(threads), "--out", f"results_t{threads}"])
-    # Direct before recursive (the direct task fits step 1), and direct alone (nothing to share).
+    # Direct before recursive (the direct task fits step 1), also with two (dataset, spec) jobs
+    # at a time, and direct alone (nothing to share).
     for name in MODE_CONFIGS:
         cmds.append(["run", "--config", f"cfg-{name}.json", "--out", f"results_{name}"])
+    cmds.append(["run", "--config", "cfg-dir-rec.json", "--threads", "2", "--out", "results_dir-rec_t2"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],

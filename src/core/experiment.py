@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +59,7 @@ class ExperimentConfig:
             raise ConfigError("need at least one compressor spec")
         check_lower_bounds(vars(self))
         bad = [m for m in self.modes if m not in MODES]
-        if bad or not self.modes:
+        if bad or not self.modes or len(set(self.modes)) != len(self.modes):
             raise ConfigError(f"modes must be a non-empty subset of {MODES}, got {self.modes}")
 
 
@@ -73,6 +72,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         data = dict(data, specs=tuple(CompressorSpec(**s) for s in data["specs"]))
         if "modes" in data:
+            if not isinstance(data["modes"], (list, tuple)):
+                raise ConfigError(f"modes must be a list, got {data['modes']!r}")
             data["modes"] = tuple(data["modes"])
         return ExperimentConfig(**data)
     except (KeyError, TypeError, CompressorError) as exc:
@@ -131,29 +132,6 @@ class _Dataset:
     labels: Labels
     eval_seed: int
     baseline_mean: float
-    # spec index -> [mode tasks not yet started, finished (step 1 per repeat, its EvalResult) or None]
-    step1: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-_STEP1_LOCK = threading.Lock()
-
-
-def _take_step1(cfg: ExperimentConfig, ds: _Dataset, spec_index: int):
-    """Start a mode task: the step 1 another mode task of (ds, spec) finished, or None.
-    The last mode task of the spec to start removes the entry, so no step 1 outlives it."""
-    with _STEP1_LOCK:
-        slot = ds.step1.setdefault(spec_index, [len(cfg.modes), None])
-        slot[0] -= 1
-        if not slot[0]:
-            del ds.step1[spec_index]
-        return slot[1]
-
-
-def _give_step1(ds: _Dataset, spec_index: int, step1) -> None:
-    """Keep a finished step 1 for the mode tasks of (ds, spec) that have not started yet."""
-    with _STEP1_LOCK:
-        if spec_index in ds.step1:
-            ds.step1[spec_index][1] = step1
 
 
 def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, step: int, dim: int,
@@ -162,10 +140,11 @@ def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, ste
                          cfg.repeats, eval_seed=ds.eval_seed, **extra)
 
 
-def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -> list[EvaluationRecord]:
-    """All records of one (dataset, spec, mode) task; ``task_timeout`` counts from
-    the task's start and is checked after each compression step and before each
-    step's scoring."""
+def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str, shared=None):
+    """The records and step 1 (each repeat's ``StepResult``, their ``EvalResult``) of one
+    (dataset, spec, mode) task, which reuses ``shared``, another mode's step 1, if given.
+    ``task_timeout`` counts from the task's start and is checked after each
+    compression step and before each step's scoring."""
     deadline = None if cfg.task_timeout is None else time.monotonic() + cfg.task_timeout
 
     def check_deadline():
@@ -177,17 +156,8 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
     compress = compress_recursive if mode == "recursive" else compress_direct
     task_seed = mix64(mix64(cfg.seed, ds.index), spec_index)
     repeat_seeds = [mix64(task_seed, r) for r in range(cfg.repeats)]
-    # Step 1 is the same fit and score in both modes; a task reuses it only if it is already finished.
-    shared = _take_step1(cfg, ds, spec_index)
     firsts = shared[0] if shared else [None] * cfg.repeats
-    fitted = []  # step 1's fitted compressor per repeat
-
-    def on_step(i, dim, out, fc):
-        check_deadline()
-        if i == 1:
-            fitted.append(fc)
-
-    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=on_step, first=f)
+    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=lambda *_: check_deadline(), first=f)
             for s, f in zip(repeat_seeds, firsts)]
     records, results = [], []
     for i, dim in enumerate(schedule.dims, start=1):
@@ -196,13 +166,26 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str) -
         res = shared[1] if shared and i == 1 else evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
         results.append(res)
         records.append(_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds))
-    if not shared:
-        _give_step1(ds, spec_index, ([(run.steps[0], fc) for run, fc in zip(runs, fitted)], results[0]))
-    return records
+    return records, ([run.steps[0] for run in runs], results[0])
+
+
+def _run_spec(cfg: ExperimentConfig, ds: _Dataset, spec_index: int):
+    """The records and errors of every mode task of (ds, spec), run in ``cfg.modes``
+    order. Step 1 is the same fit and score in both modes, so each task hands the
+    last step 1 it finished to the next; a failed task hands on nothing."""
+    records, errors, step1 = [], [], None
+    for mode in cfg.modes:
+        try:
+            task_records, step1 = _run_task(cfg, ds, spec_index, mode, step1)
+        except FAILURES as exc:
+            errors.append(f"task {ds.name}/{cfg.specs[spec_index].kind}/{mode}: {exc}")
+        else:
+            records += task_records
+    return records, errors
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
-    """Run every (dataset, spec, mode) task; failures are recorded, not fatal.
+    """Run every (dataset, spec) job's mode tasks; failures are recorded, not fatal.
 
     All seeds derive from (config seed, stable manifest/spec indices) and task
     results are collected in task order, so the output is byte-identical across
@@ -226,14 +209,11 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         datasets.append(ds)
         records.append(_record(cfg, ds, "baseline", "none", 0, e.shape[1], base))
 
-    tasks = [(ds, si, mode) for ds in datasets for si in range(len(cfg.specs)) for mode in cfg.modes]
+    jobs = [(ds, si) for ds in datasets for si in range(len(cfg.specs))]
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_run_task, cfg, ds, si, mode) for ds, si, mode in tasks]
-        for (ds, si, mode), fut in zip(tasks, futures):
-            try:
-                records.extend(fut.result())
-            except FAILURES as exc:
-                errors.append(f"task {ds.name}/{cfg.specs[si].kind}/{mode}: {exc}")
+        for job_records, job_errors in pool.map(lambda job: _run_spec(cfg, *job), jobs):
+            records += job_records
+            errors += job_errors
 
     svd, kmeans = default_params("svd"), default_params("cluster-mean")
     meta = {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -87,8 +87,8 @@ def _run(
     schedule: CompressionSchedule,
     mode: str,
     retain: bool,
-    on_step: Callable[[int, int, np.ndarray, FittedCompressor], None] | None,
-    first: tuple[StepResult, FittedCompressor] | None,
+    on_step: Callable[[int, int, np.ndarray, FittedCompressor | None], None] | None,
+    first: StepResult | None,
 ) -> CompressionRun:
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[1] != schedule.d0:
@@ -100,13 +100,12 @@ def _run(
         step_seed = mix64(spec.seed, i)
         source = current if mode == "recursive" else e0
         if i == 1 and first is not None:
-            step, fc = first
-            out = step.output
-            steps.append(step if retain else replace(step, output=None))
+            steps.append(first)
+            out, fc = first.output, None
         else:
             start = time.perf_counter()
             try:
-                if mode == "direct" and i == (1 if first is None else 2):
+                if mode == "direct" and prepared is None:
                     # Every direct step fits on e0: what they share is prepared once, in the first fitted step.
                     prepared = prepare(spec, e0)
                 fc = fit(spec.with_seed(step_seed), source, dim, prepared)
@@ -127,12 +126,13 @@ def compress_recursive(
     schedule: CompressionSchedule,
     retain: bool = True,
     on_step=None,
-    first: tuple[StepResult, FittedCompressor] | None = None,
+    first: StepResult | None = None,
 ) -> CompressionRun:
     """Fit each step on the previous step's output (E_0 = e0).
 
-    ``first`` is a finished step 1 (output retained) and its fitted compressor from
-    a run of this ``spec`` on this ``e0`` in either mode; the run continues at step 2.
+    ``first`` is a finished step 1 (output retained) from a run of this ``spec`` on
+    this ``e0`` in either mode; the run continues at step 2, and ``on_step`` gets
+    None as that step's fitted compressor.
     """
     return _run(e0, spec, schedule, "recursive", retain, on_step, first)
 
@@ -143,7 +143,7 @@ def compress_direct(
     schedule: CompressionSchedule,
     retain: bool = True,
     on_step=None,
-    first: tuple[StepResult, FittedCompressor] | None = None,
+    first: StepResult | None = None,
 ) -> CompressionRun:
     """Fit every target dimension on the original matrix (the "-dir" variants).
     ``first`` is as in ``compress_recursive``."""

@@ -577,6 +577,9 @@ CONFIG_VALUES_THAT_CANNOT_RUN = {
     "out-dir-number": ({"out_dir": 7}, "out_dir must be str, got 7"),
     "task-timeout-zero": ({"task_timeout": 0}, "task_timeout must be > 0, got 0"),
     "task-timeout-negative": ({"task_timeout": -5}, "task_timeout must be > 0, got -5"),
+    "modes-repeated": ({"modes": ["recursive", "recursive"]},
+                       "modes must be a non-empty subset of ('recursive', 'direct'), got ('recursive', 'recursive')"),
+    "modes-string": ({"modes": "direct"}, "modes must be a list, got 'direct'"),
 }
 
 

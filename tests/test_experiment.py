@@ -153,10 +153,10 @@ def test_run_experiment_records_do_not_depend_on_completion_order(tmp_path, monk
 
     run_task = experiment._run_task
 
-    def spec_0_finishes_last(cfg, ds, spec_index, mode):
+    def spec_0_finishes_last(cfg, ds, spec_index, mode, *shared):
         if spec_index == 0:
             time.sleep(0.3)
-        return run_task(cfg, ds, spec_index, mode)
+        return run_task(cfg, ds, spec_index, mode, *shared)
 
     monkeypatch.setattr(experiment, "_run_task", spec_0_finishes_last)
     table = run_experiment(small_config(manifest, specs=specs, modes=("recursive",), threads=2))
@@ -183,10 +183,10 @@ def test_task_timeout_stops_the_running_task_and_runs_the_rest(tmp_path, monkeyp
             clock[0] += 0.6
         return fit(spec, e, d_out, prepared)
 
-    def timed_task(cfg, ds, spec_index, mode):
+    def timed_task(cfg, ds, spec_index, mode, *shared):
         start = time.perf_counter()
         try:
-            return run_task(cfg, ds, spec_index, mode)
+            return run_task(cfg, ds, spec_index, mode, *shared)
         finally:
             task_seconds[cfg.specs[spec_index].kind] = time.perf_counter() - start
 
@@ -270,7 +270,8 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_both_modes_fit_and_score_step_1_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_both_modes_fit_and_score_step_1_once(tmp_path, monkeypatch, threads):
     import collections
 
     import core.experiment as experiment
@@ -280,7 +281,7 @@ def test_both_modes_fit_and_score_step_1_once(tmp_path, monkeypatch):
     fits, scores = [], []
     _counting(monkeypatch, pipeline, "fit", fits)
     _counting(monkeypatch, experiment, "evaluate_matrices", scores)
-    table = run_experiment(small_config(manifest, specs=SHARED_SPECS))
+    table = run_experiment(small_config(manifest, specs=SHARED_SPECS, threads=threads))
     assert table.meta["errors"] == []
     pairs = 2 * len(SHARED_SPECS)  # (dataset, spec)
     per_pair = (2 * SHARED_STEPS - 1) * 2  # repeats=2
@@ -310,7 +311,7 @@ def test_no_step_output_outlives_the_mode_tasks_of_its_spec(tmp_path, monkeypatc
     import core.pipeline as pipeline
 
     manifest = small_manifest(tmp_path)
-    outputs, stored, current = {}, [], [None]
+    outputs, current = {}, [None]
     transform, run_task = pipeline.transform, experiment._run_task
 
     def kept_transform(fc, e):
@@ -318,15 +319,12 @@ def test_no_step_output_outlives_the_mode_tasks_of_its_spec(tmp_path, monkeypatc
         outputs.setdefault(current[0], []).append(weakref.ref(out))
         return out
 
-    def checked_task(cfg, ds, spec_index, mode):
+    def checked_task(cfg, ds, spec_index, mode, *shared):
         gc.collect()
         # Every output of an earlier (dataset, spec) is gone once a later one starts.
         assert all(ref() is None for key, refs in outputs.items() if key != (ds.name, spec_index) for ref in refs)
         current[0] = (ds.name, spec_index)
-        try:
-            return run_task(cfg, ds, spec_index, mode)
-        finally:
-            stored.append(len(ds.step1))
+        return run_task(cfg, ds, spec_index, mode, *shared)
 
     monkeypatch.setattr(pipeline, "transform", kept_transform)
     monkeypatch.setattr(experiment, "_run_task", checked_task)
@@ -334,8 +332,6 @@ def test_no_step_output_outlives_the_mode_tasks_of_its_spec(tmp_path, monkeypatc
     assert table.meta["errors"] == []
     gc.collect()
     assert outputs and all(ref() is None for refs in outputs.values() for ref in refs)
-    # Both modes: the first task of a spec keeps its step 1 until the second starts; one mode keeps nothing.
-    assert stored == ([1, 0] * 4 if len(modes) == 2 else [0] * 4)
 
 
 def test_recursive_failure_after_step_1_leaves_direct_records_unchanged(tmp_path, monkeypatch):
@@ -372,15 +368,14 @@ def test_reused_step_1_is_followed_by_a_deadline_check(tmp_path, monkeypatch):
     manifest = small_manifest(tmp_path, names=("only",))
     clock, fits = [0.0], []
     _counting(monkeypatch, pipeline, "fit", fits)
-    take = experiment._take_step1
+    compress_direct = experiment.compress_direct
 
-    def late_take(cfg, ds, spec_index):
-        shared = take(cfg, ds, spec_index)
-        if shared is not None:
+    def late_direct(*args, first=None, **kwargs):
+        if first is not None:
             clock[0] += 10.0  # the reusing task's time runs out before it fits step 2
-        return shared
+        return compress_direct(*args, first=first, **kwargs)
 
-    monkeypatch.setattr(experiment, "_take_step1", late_take)
+    monkeypatch.setattr(experiment, "compress_direct", late_direct)
     monkeypatch.setattr(experiment, "time", SimpleNamespace(monotonic=lambda: clock[0]))
     table = run_experiment(small_config(manifest, specs=SHARED_SPECS[:1], repeats=1, task_timeout=1.0))
     assert table.meta["errors"] == ["task only/svd-exact/direct: timed out after 1.0s"]
