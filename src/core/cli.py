@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import asdict, replace
@@ -13,7 +14,14 @@ import numpy as np
 from .compressors import CompressorSpec, save_fitted
 from .errors import FAILURES, CompressorError, ConfigError, CoreError, DatasetError
 from .evaluation import EvaluationRecord, evaluate_representation, scored_record
-from .experiment import ExperimentConfig, check_lower_bounds, load_config, run_experiment, write_synthetic_dataset
+from .experiment import (
+    ExperimentConfig,
+    check_lower_bounds,
+    load_config,
+    make_synthetic_dataset,
+    run_experiment,
+    write_synthetic_dataset,
+)
 from .io import check_manifest, load_embeddings, load_labels, read_input, save_matrix, validate_dataset
 from .pipeline import compress_direct, compress_recursive, dimension_schedule
 from .report import (
@@ -28,6 +36,8 @@ from .report import (
 from .stats import average_ranks, cd_diagram_layout, friedman_test, nemenyi_cd
 
 _MODE_NAMES = {"rec": "recursive", "recursive": "recursive", "dir": "direct", "direct": "direct"}
+# `core synth` has one flag per parameter, with its type and default.
+SYNTH_PARAMS = inspect.signature(make_synthetic_dataset).parameters
 
 
 def _load_spec(path: str) -> CompressorSpec:
@@ -51,18 +61,7 @@ def cmd_synth(args) -> int:
     if manifest_path.exists():
         entries = read_input(manifest_path, DatasetError, "manifest", json.loads)
         check_manifest(manifest_path, entries)  # before anything is written
-    entry = write_synthetic_dataset(
-        args.out,
-        args.name,
-        docs=args.docs,
-        classes=args.classes,
-        rank=args.rank,
-        dim=args.dim,
-        seed=args.seed,
-        separation=args.separation,
-        within=args.within,
-        noise=args.noise,
-    )
+    entry = write_synthetic_dataset(args.out, args.name, **{k: getattr(args, k) for k in SYNTH_PARAMS})
     entries = [e for e in entries if e.get("name") != entry["name"]] + [entry]
     manifest_path.write_text(json.dumps(entries, indent=2) + "\n")
     print(f"wrote {Path(args.out) / (args.name + '.core')} and updated {manifest_path}")
@@ -134,7 +133,8 @@ def cmd_run(args) -> int:
     return 1 if errors else 0
 
 
-def _rank_input(table: ResultsTable, step: int):
+def _ranked(table: ResultsTable, step: int, alpha: float):
+    """Average ranks at ``step``, their Friedman test and the Nemenyi critical difference."""
     records = [r for r in table.records if r.step == step]
     if not records:
         raise CoreError(f"no records at step {step}")
@@ -158,32 +158,22 @@ def _rank_input(table: ResultsTable, step: int):
             if (ds, m) not in cells:
                 raise CoreError(f"missing score for dataset {ds!r}, method {m!r} at step {step}")
             scores[i, j] = cells[(ds, m)]
-    return average_ranks(scores, tuple(methods), tuple(datasets))
-
-
-def _ranked(table: ResultsTable, step: int, alpha: float):
-    """Average ranks at ``step``, their Friedman test and the Nemenyi critical difference."""
-    ranks = _rank_input(table, step)
+    ranks = average_ranks(scores, tuple(methods), tuple(datasets))
     return ranks, friedman_test(ranks), nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
 
 
-def _stats_payload(table: ResultsTable, step: int, alpha: float) -> dict:
-    ranks, fried, cd = _ranked(table, step, alpha)
-    groups = cd_diagram_layout(ranks, cd)
-    return {
-        "step": step,
+def cmd_stats(args) -> int:
+    ranks, fried, cd = _ranked(load_results(args.records), args.step, args.alpha)
+    payload = {
+        "step": args.step,
         "n_datasets": ranks.n_datasets,
         "methods": list(ranks.methods),
         "avg_ranks": {m: ranks.avg_ranks[j] for j, m in enumerate(ranks.methods)},
         **asdict(fried),
         **asdict(cd),
-        "groups": [list(g.methods) for g in groups],
+        "groups": [list(g.methods) for g in cd_diagram_layout(ranks, cd)],
     }
-
-
-def cmd_stats(args) -> int:
-    table = load_results(args.records)
-    print(json.dumps(_stats_payload(table, args.step, args.alpha), indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -208,6 +198,14 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="core", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix_input = argparse.ArgumentParser(add_help=False)  # compress, evaluate
+    matrix_input.add_argument("--input", required=True)
+    matrix_input.add_argument("--format", choices=("binary", "csv"), default="binary")
+    matrix_input.add_argument("--header", action="store_true", help="skip the first CSV line")
+    ranking = argparse.ArgumentParser(add_help=False)  # stats, report
+    ranking.add_argument("--records", required=True)
+    ranking.add_argument("--alpha", type=float, default=0.05)
+    ranking.add_argument("--step", type=int, default=2, help="compression step whose scores are ranked")
 
     p = sub.add_parser("schedule", help="print the dimension schedule, one per line")
     p.add_argument("--d0", type=int, required=True)
@@ -215,22 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
-    p.add_argument("--docs", type=int, default=600)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--within", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    for name, param in SYNTH_PARAMS.items():
+        p.add_argument(f"--{name}", type=type(param.default), default=param.default)
     p.add_argument("--out", required=True)
     p.add_argument("--name", default="synth")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("compress", help="run one compression schedule and write step files")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
-    p.add_argument("--header", action="store_true", help="skip the first CSV line")
+    p = sub.add_parser("compress", parents=[matrix_input], help="run one compression schedule and write step files")
     p.add_argument("--spec", required=True, help="JSON file: {kind, seed, params}")
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="rec")
     p.add_argument("--kappa", type=int, default=2)
@@ -241,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-states", action="store_true", help="also write each fitted compressor as state_<i>.npz")
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("evaluate", help="score one compressed matrix against a baseline")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
-    p.add_argument("--header", action="store_true", help="skip the first CSV line")
+    p = sub.add_parser("evaluate", parents=[matrix_input], help="score one compressed matrix against a baseline")
     p.add_argument("--labels", required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--folds", type=int, default=3)
@@ -265,18 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="override the config output directory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("stats", help="Friedman/Nemenyi rank statistics from a results file")
-    p.add_argument("--records", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--step", type=int, default=2, help="compression step whose scores are ranked")
+    p = sub.add_parser("stats", parents=[ranking], help="Friedman/Nemenyi rank statistics from a results file")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("report", help="emit TSV, JSON, and SVG figures from a results file")
-    p.add_argument("--records", required=True)
+    p = sub.add_parser("report", parents=[ranking], help="emit TSV, JSON, and SVG figures from a results file")
     p.add_argument("--out", required=True)
     p.add_argument("--margin", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--step", type=int, default=2)
     p.set_defaults(func=cmd_report)
     return parser
 

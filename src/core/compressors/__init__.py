@@ -102,7 +102,7 @@ class CompressorSpec:
     def __post_init__(self):
         if self.kind not in _REGISTRY:
             raise CompressorError(f"unknown compressor kind {self.kind!r}; expected one of {KINDS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not number_like(self.seed, 0) or self.seed < 0:
             raise CompressorError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.params, dict):
             raise CompressorError(f"{self.kind}: params must be an object, got {self.params!r}")

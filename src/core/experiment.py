@@ -85,10 +85,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def make_synthetic_dataset(
-    docs: int,
-    classes: int,
-    rank: int,
-    dim: int,
+    docs: int = 600,
+    classes: int = 4,
+    rank: int = 8,
+    dim: int = 64,
     seed: int = 0,
     separation: float = 4.0,
     within: float = 1.0,

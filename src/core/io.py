@@ -3,7 +3,8 @@
 Binary matrix layout: magic ``CORE``, u32 little-endian row count, u32
 little-endian column count, then rows*cols little-endian f32 values in
 row-major order. Values are stored as 32-bit floats on disk and promoted
-to float64 in memory for all computation.
+to float64 in memory for all computation; a CSV value or a value to be
+written that does not fit in f32 is a ``MatrixFormatError``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,17 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _as_f32(m: np.ndarray) -> np.ndarray:
+    """The finite matrix ``m`` as little-endian f32; a value that would become ±inf is an error."""
+    with np.errstate(over="ignore"):
+        out = m.astype("<f4")
+    bad = np.argwhere(np.isinf(out))
+    if len(bad):
+        r, c = bad[0]
+        raise MatrixFormatError(f"row {r + 1}, col {c + 1}: {float(m[r, c])} does not fit in f32")
+    return out
+
+
 def load_embeddings(path: str | Path, fmt: str = "binary", header: bool = False) -> np.ndarray:
     """Load a matrix from ``path`` as float64.
 
@@ -122,14 +134,15 @@ def _load_csv(path: Path, header: bool = False) -> np.ndarray:
             except ValueError:
                 raise ValueParseError(f"row {lineno}, col {j + 1}: cannot parse {tok.strip()!r} as a number") from None
         rows.append(row)
-    return _check_matrix(np.array(rows, dtype=np.float64))
+    m = _check_matrix(np.array(rows, dtype=np.float64))
+    _as_f32(m)  # every matrix the program reads or writes fits in f32
+    return m
 
 
 def save_matrix(m: np.ndarray, path: str | Path) -> None:
     """Write a matrix in the binary layout, as f32."""
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
-    _check_matrix(m)
-    payload = m.astype("<f4").tobytes()
+    payload = _as_f32(_check_matrix(m)).tobytes()
     Path(path).write_bytes(MAGIC + struct.pack("<II", m.shape[0], m.shape[1]) + payload)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from core.cli import main
 from core.compressors import KINDS, CompressorSpec
+from core.experiment import make_synthetic_dataset
 from core.io import load_embeddings
 from core.pipeline import compress_recursive, dimension_schedule
 
@@ -670,3 +672,64 @@ def test_synth_bad_shape_creates_no_out_directory(tmp_path, capsys):
     assert main(["synth", "--classes", "1", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: bad synthetic shape: docs=600, classes=1, rank=8, dim=64\n")
     assert not out.exists()
+
+
+def _big_csv(path):
+    x = np.random.default_rng(0).standard_normal((40, 8)) * 1e200
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    return float(x[0, 0])
+
+
+@pytest.mark.parametrize("kind", ["svd-exact", "cluster-mean"])
+def test_compress_csv_value_beyond_f32_exit_one(tmp_path, capsys, kind):
+    # Before, svd-exact wrote steps that could not be read back, and cluster-mean ended in a traceback.
+    first = _big_csv(tmp_path / "big.csv")
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": kind}))
+    out = tmp_path / "steps"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compress", "--input", str(tmp_path / "big.csv"), "--format", "csv",
+                     "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: row 1, col 1: {first} does not fit in f32\n")
+    assert not out.exists()
+
+
+def test_synth_value_beyond_f32_exit_one_and_writes_nothing(synth_dir, capsys):
+    manifest = (synth_dir / "manifest.json").read_text()
+    e, _ = make_synthetic_dataset(separation=1e39)
+    r, c = np.argwhere(np.abs(e) > np.finfo(np.float32).max)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--separation", "1e39", "--out", str(synth_dir)]) == 1
+    assert capsys.readouterr() == ("", f"error: row {r + 1}, col {c + 1}: {float(e[r, c])} does not fit in f32\n")
+    assert not (synth_dir / "synth.core").exists() and not (synth_dir / "synth.labels").exists()
+    assert (synth_dir / "manifest.json").read_text() == manifest
+
+
+def test_boolean_spec_seed_exit_two(synth_dir, tmp_path, capsys):
+    spec = {"kind": "svd", "seed": True}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "steps")]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot read compressor spec {tmp_path / 'spec.json'}: "
+            "seed must be a non-negative integer, got True\n")
+    assert not (tmp_path / "steps").exists()
+    (tmp_path / "cfg.json").write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"), "specs": [spec],
+                                                   "out_dir": str(tmp_path / "results")}))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert capsys.readouterr() == ("", "error: bad experiment config: seed must be a non-negative integer, got True\n")
+    assert not (tmp_path / "results").exists()
+
+
+def test_run_ignores_the_spec_seed(synth_dir, tmp_path, capsys):
+    # Compressor seeds come from the config seed, the dataset, the spec index and the repeat.
+    records = []
+    for seed in (1, 999):
+        cfg_path = tmp_path / f"cfg{seed}.json"
+        cfg_path.write_text(json.dumps({"manifest": str(synth_dir / "manifest.json"),
+                                        "specs": [{"kind": "svd", "seed": seed}], "repeats": 1,
+                                        "out_dir": str(tmp_path / f"results{seed}")}))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        records.append(json.loads((tmp_path / f"results{seed}" / "results.json").read_text())["records"])
+    assert records[0] and records[0] == records[1]

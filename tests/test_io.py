@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,43 @@ def test_csv_without_data_rows(tmp_path):
     with pytest.raises(MatrixFormatError) as info:
         load_embeddings(p, "csv", header=True)
     assert str(info.value) == f"{p}: no data rows"
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e300])
+def test_save_value_beyond_f32_is_an_error_and_writes_nothing(tmp_path, value):
+    m = np.zeros((2, 3))
+    m[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's cast warning would fail the test
+        with pytest.raises(MatrixFormatError) as info:
+            save_matrix(m, tmp_path / "m.core")
+    assert str(info.value) == f"row 2, col 3: {value} does not fit in f32"
+    assert not (tmp_path / "m.core").exists()
+
+
+def test_csv_value_beyond_f32_is_an_error(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n3,1e39\n")
+    with pytest.raises(MatrixFormatError) as info:
+        load_embeddings(p, "csv")
+    assert str(info.value) == "row 2, col 2: 1e+39 does not fit in f32"
+
+
+def test_csv_nan_is_reported_before_an_f32_overflow(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1e39,2\n3,nan\n")
+    with pytest.raises(NonFiniteValueError, match="row 2, col 2: non-finite value"):
+        load_embeddings(p, "csv")
+
+
+def test_value_that_rounds_to_the_f32_maximum_fits(tmp_path):
+    # Just above the f32 maximum, a float64 still rounds to it, not to inf.
+    above = float(np.nextafter(F32_MAX, np.inf))
+    p = tmp_path / "m.csv"
+    p.write_text(f"{above},-{F32_MAX}\n")
+    m = load_embeddings(p, "csv")
+    save_matrix(m, tmp_path / "m.core")
+    assert load_embeddings(tmp_path / "m.core").tolist() == [[F32_MAX, -F32_MAX]]

@@ -91,3 +91,10 @@ def test_spec_accepts_int_for_float_and_int_for_int(kind, params):
 def test_spec_rejects_params_that_are_not_an_object():
     with pytest.raises(CompressorError, match="params must be an object"):
         CompressorSpec("svd", params=[])
+
+
+@pytest.mark.parametrize("seed", [True, False])
+def test_spec_rejects_a_boolean_seed(seed):
+    with pytest.raises(CompressorError) as info:
+        CompressorSpec("svd", seed=seed)
+    assert str(info.value) == f"seed must be a non-negative integer, got {seed}"
