@@ -7,13 +7,14 @@ by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
 ``--threads`` 1 and 2, and in direct mode alone; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
-kappa 2 and 4, ``compress --seed 7`` in both modes, plus thirteen commands that
+kappa 2 and 4, ``compress --seed 7`` in both modes, plus seventeen commands that
 must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
-``synth --classes 1``, ``run`` with an empty manifest or one with an empty path,
-``stats`` on a results file of schema version 2, and ``compress`` with fewer
-documents than the first step's dimension, a binary input of 0 rows, a CSV input
-with a ragged row, an unparseable token or a ``nan``, and an autoencoder whose
-training diverges. The exit code, stdout and stderr of each command are compared
+``report --margin nan``, ``synth --classes 1``, ``synth --separation 1e39``,
+``run`` with an empty manifest, one with an empty path, or a ``"margin": NaN``
+config, ``stats`` on a results file of schema version 2, and ``compress`` with
+fewer documents than the first step's dimension, a binary input of 0 rows, a CSV
+input with a ragged row, an unparseable token or a ``nan``, an autoencoder whose
+training diverges, and a spec whose ``tol`` is ``NaN``. The exit code, stdout and stderr of each command are compared
 too (``log.txt``), so every failure message is compared byte for byte.
 
 Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
@@ -126,6 +127,11 @@ def flow_commands() -> list[list[str]]:
         ["compress", "--input", "bad/zero-rows.core", "--spec", "specs/svd.json", "--out", "compress/zero-rows"],
         ["stats", "--records", "bad/schema2.json"],
         ["synth", "--classes", "1", "--out", "bad-synth"],
+        # Non-finite numbers: json.loads reads NaN, and a matrix beyond f32 is rejected before --out is made.
+        ["synth", "--separation", "1e39", "--out", "bad-synth-f32"],
+        ["report", "--records", "results_t1/results.json", "--out", "report_nan_margin", "--margin", "nan"],
+        ["compress", "--input", "data/a.core", "--spec", "bad/nan-tol.json", "--out", "compress/nan-tol"],
+        ["run", "--config", "bad/nan-margin-cfg.json"],
     ]
     return cmds
 
@@ -162,6 +168,8 @@ def run_flow(out: Path) -> None:
     Path("cfg.json").write_text(json.dumps(cfg))
     for name, modes in MODE_CONFIGS.items():
         Path(f"cfg-{name}.json").write_text(json.dumps(dict(cfg, modes=modes)))
+    Path("bad", "nan-tol.json").write_text(json.dumps({"kind": "cluster-mean", "params": {"tol": float("nan")}}))
+    Path("bad", "nan-margin-cfg.json").write_text(json.dumps(dict(cfg, margin=float("nan"), out_dir="results-nan")))
     with open("log.txt", "w") as log:
         for cmd in flow_commands():
             stdout, stderr = io.StringIO(), io.StringIO()

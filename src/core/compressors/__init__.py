@@ -1,6 +1,6 @@
 """Compression algorithms behind a single fit/transform interface.
 
-Every kind is declared by one entry of ``_REGISTRY``: how to fit it, the
+Every kind is declared by one entry of ``_REGISTRY``: how to fit its state, the
 params it accepts with their defaults, the state class that stores and
 restores its arrays, and optionally a check of its params as a whole and the
 work that all fits on one source matrix can share.
@@ -9,6 +9,7 @@ work that all fits on one source matrix can share.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -16,8 +17,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ..errors import CompressorError
-from .autoencoder import AutoencoderParams, TrainConfig, fit_autoencoder
-from .base import FittedCompressor, transform
+from .autoencoder import AutoencoderParams, TrainConfig, train_autoencoder
 from .cluster import DEFAULT_MAX_ITER, DEFAULT_TOL, ClusterState, fit_cluster_aggregate, prepare_columns
 from .projection import ProjectionState, fit_sparse_projection, projection_density
 from .subspace import SubspaceState, fit_random_subspace
@@ -26,14 +26,30 @@ from .svd import (
     DEFAULT_POWER_ITERS,
     SvdState,
     exact_truncated_svd,
-    fit_svd,
     randomized_truncated_svd,
     thin_svd,
 )
 
 
+@dataclass(frozen=True)
+class FittedCompressor:
+    """Immutable learned projection state; ``transform`` maps rows x d_in -> rows x d_out.
+
+    ``state`` provides ``apply(e)``, ``to_arrays() -> (arrays, extra_meta)`` and
+    the classmethod ``from_arrays(blob, meta)``.
+    """
+
+    kind: str
+    input_dim: int
+    output_dim: int
+    state: Any
+
+    def state_bytes(self) -> int:
+        return sum(a.nbytes for a in self.state.to_arrays()[0].values())
+
+
 class _Kind(NamedTuple):
-    fit: Callable[..., FittedCompressor]  # (e, d_out, seed, params, prepared)
+    fit: Callable[..., Any]  # (e, d_out, seed, params, prepared) -> the kind's state
     params: dict[str, Any]  # accepted params and their defaults; a value must match its default's type
     state: type
     check: Callable[[dict[str, Any]], object] | None = None  # raises CompressorError for params out of range
@@ -52,7 +68,7 @@ def _cluster(agg: str) -> _Kind:
 
 def _neural(size: str) -> _Kind:
     return _Kind(
-        lambda e, d, seed, p, _: fit_autoencoder(e, d, size, seed, TrainConfig(**p)),
+        lambda e, d, seed, p, _: train_autoencoder(e, d, size, seed, TrainConfig(**p)),
         asdict(TrainConfig()),
         AutoencoderParams,
         check=lambda p: TrainConfig(**p),
@@ -63,12 +79,12 @@ def _neural(size: str) -> _Kind:
 # module at call time, where tests can replace them.
 _REGISTRY: dict[str, _Kind] = {
     "svd": _Kind(
-        lambda e, d, seed, p, _: fit_svd(e, d, "randomized", seed, **p),
+        lambda e, d, seed, p, _: SvdState(*randomized_truncated_svd(e, d, seed, **p)),
         {"oversample": DEFAULT_OVERSAMPLE, "power_iters": DEFAULT_POWER_ITERS},
         SvdState,
     ),
     "svd-exact": _Kind(
-        lambda e, d, seed, p, thin: fit_svd(e, d, "exact", seed, thin=thin), {}, SvdState, prepare=thin_svd
+        lambda e, d, seed, p, thin: SvdState(*exact_truncated_svd(e, d, thin)), {}, SvdState, prepare=thin_svd
     ),
     "sparse-projection": _Kind(
         lambda e, d, seed, p, _: fit_sparse_projection(e.shape[1], d, seed), {}, ProjectionState
@@ -86,9 +102,10 @@ _COUNTS = ("max_iter", "max_epochs")
 
 
 def number_like(value: Any, default: int | float) -> bool:
-    """An int default accepts ``int`` only, a float default ``int`` or ``float``; ``bool`` never."""
+    """An int default accepts ``int`` only, a float default ``int`` or finite ``float``; ``bool`` never."""
     accepted = (int, float) if isinstance(default, float) else int
-    return isinstance(value, accepted) and not isinstance(value, bool)
+    return (isinstance(value, accepted) and not isinstance(value, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -140,11 +157,31 @@ def prepare(spec: CompressorSpec, e: np.ndarray) -> Any:
 def fit(spec: CompressorSpec, e: np.ndarray, d_out: int, prepared: Any = None) -> FittedCompressor:
     """Fit the compressor described by ``spec`` on ``e`` for the target dimension.
 
-    ``prepared`` is ``prepare(spec, e)``; when it is None, the fit does that work
-    itself. The output is the same bit for bit either way.
+    ``d_out`` must be in ``[1, d_in]``. The kind's entry computes the state, and
+    this names it with the kind and both dimensions. ``prepared`` is
+    ``prepare(spec, e)``; when it is None, the fit does that work itself. The
+    output is the same bit for bit either way.
     """
     e = np.asarray(e, dtype=np.float64)
-    return _REGISTRY[spec.kind].fit(e, d_out, spec.seed, spec.params, prepared)
+    d_in = e.shape[1]
+    if not 1 <= d_out <= d_in:
+        raise CompressorError(f"d_out must be in [1, {d_in}], got {d_out}")
+    state = _REGISTRY[spec.kind].fit(e, d_out, spec.seed, spec.params, prepared)
+    return FittedCompressor(spec.kind, d_in, d_out, state)
+
+
+def transform(fc: FittedCompressor, e: np.ndarray) -> np.ndarray:
+    """Apply a fitted compressor to a matrix with matching column count."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.ndim != 2:
+        raise CompressorError(f"expected a 2-D matrix, got shape {e.shape}")
+    if e.shape[0] == 0:
+        raise CompressorError("cannot transform an empty matrix (0 rows)")
+    if e.shape[1] != fc.input_dim:
+        raise CompressorError(f"matrix has {e.shape[1]} columns but compressor expects {fc.input_dim}")
+    out = fc.state.apply(e)
+    assert out.shape == (e.shape[0], fc.output_dim)
+    return out
 
 
 def save_fitted(fc: FittedCompressor, path: str | Path) -> None:
@@ -177,11 +214,9 @@ __all__ = [
     "transform",
     "save_fitted",
     "load_fitted",
-    "fit_svd",
     "fit_sparse_projection",
     "fit_random_subspace",
     "fit_cluster_aggregate",
-    "fit_autoencoder",
     "exact_truncated_svd",
     "randomized_truncated_svd",
     "projection_density",

@@ -15,7 +15,6 @@ from typing import Any
 import numpy as np
 
 from ..errors import CompressorError, TrainingDivergedError
-from .base import FittedCompressor
 
 
 def softsign(x):
@@ -280,10 +279,3 @@ def train_autoencoder(
         **asdict(config),
     }
     return p
-
-
-def fit_autoencoder(
-    e: np.ndarray, d_out: int, size: str, seed: int = 0, config: TrainConfig = TrainConfig()
-) -> FittedCompressor:
-    p = train_autoencoder(e, d_out, size, seed, config)
-    return FittedCompressor(f"neural-{size}", p.input_dim, d_out, p)

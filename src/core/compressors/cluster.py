@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CompressorError
-from .base import FittedCompressor
 
 AGGREGATIONS = ("max", "mean", "median")
 DEFAULT_MAX_ITER = 100
@@ -150,13 +149,11 @@ def fit_cluster_aggregate(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     rows: DistanceRows | None = None,
-) -> FittedCompressor:
+) -> ClusterState:
     """``rows`` is ``prepare_columns(e)``, shared by the fits on ``e``; made here when None."""
     e = np.asarray(e, dtype=np.float64)
-    if not 1 <= d_out <= e.shape[1]:
-        raise CompressorError(f"d_out must be in [1, {e.shape[1]}], got {d_out}")
     if agg not in AGGREGATIONS:
         raise CompressorError(f"unknown aggregation {agg!r}; expected one of {AGGREGATIONS}")
     rows = prepare_columns(e) if rows is None else rows
     assignment = kmeans_columns(rows, d_out, seed, max_iter, tol)
-    return FittedCompressor(f"cluster-{agg}", e.shape[1], d_out, ClusterState(assignment, agg))
+    return ClusterState(assignment, agg)

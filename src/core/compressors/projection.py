@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CompressorError
-from .base import FittedCompressor
-
 
 @dataclass(frozen=True)
 class ProjectionState:
@@ -32,10 +29,8 @@ def projection_density(d_in: int) -> float:
     return 1.0 / np.sqrt(d_in)
 
 
-def fit_sparse_projection(d_in: int, d_out: int, seed: int = 0) -> FittedCompressor:
+def fit_sparse_projection(d_in: int, d_out: int, seed: int = 0) -> ProjectionState:
     """Entries are 0 with probability 1-s, else +-sqrt(1/(s*d_out)) with equal sign odds."""
-    if not 1 <= d_out <= d_in:
-        raise CompressorError(f"d_out must be in [1, {d_in}], got {d_out}")
     from scipy import sparse
     rng = np.random.default_rng(seed)
     density = projection_density(d_in)
@@ -46,4 +41,4 @@ def fit_sparse_projection(d_in: int, d_out: int, seed: int = 0) -> FittedCompres
     matrix = sparse.csr_array(
         (signs.astype(np.float64) * scale, (rows, cols)), shape=(d_in, d_out)
     )
-    return FittedCompressor("sparse-projection", d_in, d_out, ProjectionState(matrix))
+    return ProjectionState(matrix)

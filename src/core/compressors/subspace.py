@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CompressorError
-from .base import FittedCompressor
-
 
 def normalize_rows(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit l2 norm; all-zero rows stay zero."""
@@ -31,9 +28,7 @@ class SubspaceState:
         return cls(blob["columns"])
 
 
-def fit_random_subspace(d_in: int, d_out: int, seed: int = 0) -> FittedCompressor:
-    if not 1 <= d_out <= d_in:
-        raise CompressorError(f"d_out must be in [1, {d_in}], got {d_out}")
+def fit_random_subspace(d_in: int, d_out: int, seed: int = 0) -> SubspaceState:
     rng = np.random.default_rng(seed)
     columns = np.sort(rng.choice(d_in, size=d_out, replace=False))
-    return FittedCompressor("random-subspace", d_in, d_out, SubspaceState(columns))
+    return SubspaceState(columns)

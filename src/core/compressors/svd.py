@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CompressorError
-from .base import FittedCompressor
 
 DEFAULT_OVERSAMPLE = 10
 DEFAULT_POWER_ITERS = 5
@@ -46,6 +45,7 @@ def exact_truncated_svd(
     e: np.ndarray, d_out: int, thin: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leading d_out right singular vectors and singular values of the full SVD ``thin`` (computed when None)."""
+    _check_dim(e, d_out)
     s, vt = thin_svd(e) if thin is None else thin
     return vt[:d_out].T.copy(), s[:d_out].copy()
 
@@ -58,6 +58,7 @@ def randomized_truncated_svd(
     power_iters: int = DEFAULT_POWER_ITERS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Range-finder sketch with QR-stabilized power iterations."""
+    _check_dim(e, d_out)
     rng = np.random.default_rng(seed)
     n_rows, n_cols = e.shape
     sketch = min(d_out + oversample, n_cols)
@@ -69,25 +70,3 @@ def randomized_truncated_svd(
     b = q.T @ e
     _, s, vt = np.linalg.svd(b, full_matrices=False)
     return vt[:d_out].T.copy(), s[:d_out].copy()
-
-
-def fit_svd(
-    e: np.ndarray,
-    d_out: int,
-    mode: str = "randomized",
-    seed: int = 0,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    power_iters: int = DEFAULT_POWER_ITERS,
-    thin: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FittedCompressor:
-    """``thin`` is ``thin_svd(e)``; only the exact mode reads it."""
-    e = np.asarray(e, dtype=np.float64)
-    _check_dim(e, d_out)
-    if mode == "exact":
-        components, sv = exact_truncated_svd(e, d_out, thin)
-    elif mode == "randomized":
-        components, sv = randomized_truncated_svd(e, d_out, seed, oversample, power_iters)
-    else:
-        raise CompressorError(f"unknown SVD mode {mode!r}")
-    kind = "svd-exact" if mode == "exact" else "svd"
-    return FittedCompressor(kind, e.shape[1], d_out, SvdState(components, sv))

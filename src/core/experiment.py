@@ -14,7 +14,8 @@ from . import __version__
 from .compressors import CompressorSpec, default_params, number_like
 from .errors import FAILURES, CompressorError, ConfigError, CoreError
 from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, scored_record
-from .io import Labels, load_embeddings, load_labels, load_manifest, read_input, save_labels, save_matrix, validate_dataset
+from .io import (Labels, as_f32, load_embeddings, load_labels, load_manifest, read_input, save_labels, save_matrix,
+                 validate_dataset)
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
 from .report import ResultsTable
 
@@ -25,10 +26,15 @@ LOWER_BOUNDS = {"kappa": 2, "margin": 0, "folds": 2, "repeats": 1, "threads": 1,
 
 
 def check_lower_bounds(values: dict) -> None:
-    """``ConfigError`` for the first ``LOWER_BOUNDS`` entry that ``values`` falls below; absent or ``None`` passes."""
+    """``ConfigError`` for the first ``LOWER_BOUNDS`` entry that ``values`` falls below or that is
+    not a finite number; absent or ``None`` passes."""
     for name, least in LOWER_BOUNDS.items():
         value = values.get(name)
-        if value is not None and value < least:
+        if value is None:
+            continue
+        if not number_like(value, 0.0):
+            raise ConfigError(f"{name} must be a finite number, got {value}")
+        if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
@@ -111,6 +117,7 @@ def make_synthetic_dataset(
 def write_synthetic_dataset(out_dir: str | Path, name: str, **kwargs) -> dict:
     """Write <name>.core and <name>.labels plus a manifest entry dict."""
     e, labels = make_synthetic_dataset(**kwargs)
+    as_f32(e)  # a matrix that save_matrix rejects leaves no directory behind
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix(e, out_dir / f"{name}.core")

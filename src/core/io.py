@@ -76,8 +76,10 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _as_f32(m: np.ndarray) -> np.ndarray:
-    """The finite matrix ``m`` as little-endian f32; a value that would become ±inf is an error."""
+def as_f32(m: np.ndarray) -> np.ndarray:
+    """``m`` as little-endian f32, the rule for every matrix the program reads or writes:
+    2-D, not empty, finite, and no value that would become ±inf in f32."""
+    _check_matrix(m)
     with np.errstate(over="ignore"):
         out = m.astype("<f4")
     bad = np.argwhere(np.isinf(out))
@@ -134,15 +136,15 @@ def _load_csv(path: Path, header: bool = False) -> np.ndarray:
             except ValueError:
                 raise ValueParseError(f"row {lineno}, col {j + 1}: cannot parse {tok.strip()!r} as a number") from None
         rows.append(row)
-    m = _check_matrix(np.array(rows, dtype=np.float64))
-    _as_f32(m)  # every matrix the program reads or writes fits in f32
+    m = np.array(rows, dtype=np.float64)
+    as_f32(m)  # checked only: CSV values stay at full precision
     return m
 
 
 def save_matrix(m: np.ndarray, path: str | Path) -> None:
     """Write a matrix in the binary layout, as f32."""
     m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
-    payload = _as_f32(_check_matrix(m)).tobytes()
+    payload = as_f32(m).tobytes()
     Path(path).write_bytes(MAGIC + struct.pack("<II", m.shape[0], m.shape[1]) + payload)
 
 

@@ -207,7 +207,7 @@ def test_compress_numeric_failure_exit_one(synth_dir, tmp_path, monkeypatch, cap
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(compressors, "fit_svd", no_convergence)
+    monkeypatch.setattr(compressors, "randomized_truncated_svd", no_convergence)
     (tmp_path / "spec.json").write_text('{"kind": "svd"}')
     assert main(["compress", "--input", str(synth_dir / "tiny.core"), "--spec", str(tmp_path / "spec.json"),
                  "--out", str(tmp_path / "steps")]) == 1
@@ -224,6 +224,7 @@ BAD_SPECS = [
     {"kind": "svd", "params": {"oversample": -5}},
     {"kind": "svd", "params": {"oversample": -100}},
     {"kind": "neural-small", "params": {"max_epochs": 0}},
+    {"kind": "cluster-mean", "params": {"tol": float("nan")}},
 ]
 
 
@@ -283,6 +284,9 @@ BAD_CONFIG_VALUES = {
     "task-timeout-string": {"task_timeout": "5"},
     "folds-one": {"folds": 1},
     "repeats-zero": {"repeats": 0},
+    "margin-nan": {"margin": float("nan")},
+    "margin-inf": {"margin": float("inf")},
+    "task-timeout-nan": {"task_timeout": float("nan")},
 }
 
 
@@ -392,6 +396,9 @@ BAD_RANKING_FLAGS = {
     "report-alpha-negative": ("report", ["--alpha", "-1"], "alpha must be in (0, 1), got -1.0"),
     "report-alpha-nan": ("report", ["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
     "report-margin-negative": ("report", ["--margin", "-1"], "margin must be >= 0, got -1.0"),
+    "report-margin-nan": ("report", ["--margin", "nan"], "margin must be a finite number, got nan"),
+    "report-margin-inf": ("report", ["--margin", "inf"], "margin must be a finite number, got inf"),
+    "report-margin-minus-inf": ("report", ["--margin=-inf"], "margin must be a finite number, got -inf"),
 }
 
 
@@ -456,6 +463,9 @@ MISTYPED_RESULTS = {
     "dim-bool": (lambda d: d["records"][5].update(dim=True), "record 5: dim must be int"),
     "config-null": (lambda d: d.update(meta={"config": None}), "meta.config must be an object"),
     "margin-string": (lambda d: d.update(meta={"config": {"margin": "x"}}), "meta.config.margin must be a number"),
+    "margin-nan": (lambda d: d.update(meta={"config": {"margin": float("nan")}}), "meta.config.margin must be a number"),
+    "margin-inf": (lambda d: d.update(meta={"config": {"margin": float("inf")}}), "meta.config.margin must be a number"),
+    "mean-f1-nan": (lambda d: d["records"][2].update(mean_f1=float("nan")), "record 2: mean_f1 must be float"),
 }
 
 
@@ -733,3 +743,13 @@ def test_run_ignores_the_spec_seed(synth_dir, tmp_path, capsys):
         assert main(["run", "--config", str(cfg_path)]) == 0
         records.append(json.loads((tmp_path / f"results{seed}" / "results.json").read_text())["records"])
     assert records[0] and records[0] == records[1]
+
+
+@pytest.mark.parametrize("separation", ["1e39", "nan"])
+def test_synth_matrix_rejected_creates_no_out_directory(tmp_path, capsys, separation):
+    out = tmp_path / "X"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--separation", separation, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 1, col 1: ")
+    assert not out.exists()

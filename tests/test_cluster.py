@@ -33,7 +33,7 @@ def test_two_block_columns_recovered_exactly():
     assert best_inertia == pytest.approx(0.0, abs=1e-20)
     assert set(np.flatnonzero(best_mask).tolist()) in ({0, 1, 2, 3}, {4, 5, 6, 7})
 
-    fc = fit_cluster_aggregate(e, 2, "mean", seed=0)
+    fc = fit(CompressorSpec("cluster-mean", seed=0), e, 2)
     out = transform(fc, e)
     got = {tuple(np.round(out[:, j], 10)) for j in range(2)}
     assert got == {tuple(np.round(c1, 10)), tuple(np.round(c2, 10))}
@@ -43,14 +43,14 @@ def test_two_block_columns_recovered_exactly():
 def test_singleton_clusters_permute_input(agg):
     rng = np.random.default_rng(1)
     e = rng.standard_normal((12, 5))
-    fc = fit_cluster_aggregate(e, 5, agg, seed=2)
+    fc = fit(CompressorSpec(f"cluster-{agg}", seed=2), e, 5)
     out = transform(fc, e)
     assert sorted(map(tuple, out.T)) == sorted(map(tuple, e.T))
 
 
 def test_max_aggregation_per_row():
     e = np.array([[1.0, 0.0], [0.0, 1.0]])
-    fc = fit_cluster_aggregate(e, 1, "max", seed=0)
+    fc = fit(CompressorSpec("cluster-max", seed=0), e, 1)
     out = transform(fc, e)
     np.testing.assert_array_equal(out, [[1.0], [1.0]])
 
@@ -59,7 +59,7 @@ def test_assignment_is_full_partition():
     rng = np.random.default_rng(3)
     e = rng.standard_normal((9, 30)) * np.linspace(0.2, 5.0, 30)
     for k in (2, 7, 13):
-        fc = fit_cluster_aggregate(e, k, "mean", seed=4)
+        fc = fit(CompressorSpec("cluster-mean", seed=4), e, k)
         a = fc.state.assignment
         assert a.shape == (30,)
         assert set(a.tolist()) == set(range(k))  # no empty clusters after fit
@@ -70,7 +70,7 @@ def test_duplicate_columns_fill_every_cluster(agg):
     # Identical columns leave all but one cluster empty after the first
     # assignment; each repair must take a point from a cluster that keeps one.
     e = np.tile(np.arange(10.0)[:, None], (1, 8))
-    fc = fit_cluster_aggregate(e, 4, agg, seed=0)
+    fc = fit(CompressorSpec(f"cluster-{agg}", seed=0), e, 4)
     assert sorted(set(fc.state.assignment.tolist())) == [0, 1, 2, 3]
     out = transform(fc, e)
     assert out.shape == (10, 4)
@@ -80,16 +80,16 @@ def test_duplicate_columns_fill_every_cluster(agg):
 def test_deterministic_given_seed():
     rng = np.random.default_rng(5)
     e = rng.standard_normal((8, 20))
-    a = fit_cluster_aggregate(e, 4, "median", seed=11).state.assignment
-    b = fit_cluster_aggregate(e, 4, "median", seed=11).state.assignment
+    a = fit(CompressorSpec("cluster-median", seed=11), e, 4).state.assignment
+    b = fit(CompressorSpec("cluster-median", seed=11), e, 4).state.assignment
     np.testing.assert_array_equal(a, b)
 
 
 def test_agg_and_range_validation():
     e = np.ones((4, 3))
-    with pytest.raises(CompressorError):
-        fit_cluster_aggregate(e, 4, "mean", seed=0)
-    with pytest.raises(CompressorError):
+    with pytest.raises(CompressorError, match=r"^d_out must be in \[1, 3\], got 4$"):
+        fit(CompressorSpec("cluster-mean"), e, 4)
+    with pytest.raises(CompressorError, match="^unknown aggregation 'sum'"):
         fit_cluster_aggregate(e, 2, "sum", seed=0)
 
 
@@ -180,6 +180,6 @@ def test_fit_and_apply_equal_oracle(monkeypatch, agg, name):
         out = transform(got, e)
         with monkeypatch.context() as m:
             m.setattr(cluster, "_kmeans_pp_init", oracle_kmeans_pp_init)
-            want = fit_cluster_aggregate(e, k, agg, seed=k)
+            want = fit(spec.with_seed(k), e, k)
             assert got.state.assignment.tobytes() == want.state.assignment.tobytes()
             assert out.tobytes() == transform(want, e).tobytes()

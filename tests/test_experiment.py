@@ -131,7 +131,7 @@ def test_run_experiment_numeric_failure_is_recorded(tmp_path, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(compressors, "fit_svd", no_convergence)
+    monkeypatch.setattr(compressors, "randomized_truncated_svd", no_convergence)
     manifest = small_manifest(tmp_path, names=("only",))
     table = run_experiment(small_config(manifest))
     assert table.meta["errors"] == [

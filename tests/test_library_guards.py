@@ -4,10 +4,8 @@ earlier check (a bound, the kind registry, the compressor spec) rejects the inpu
 import numpy as np
 import pytest
 
-from core.compressors import CompressorSpec, fit
+from core.compressors import CompressorSpec, fit, transform
 from core.compressors.autoencoder import TrainConfig, init_params, train_autoencoder
-from core.compressors.base import transform
-from core.compressors.svd import fit_svd
 from core.errors import CompressorError, CoreError, EvaluationError, MatrixFormatError, ScheduleError
 from core.evaluation import evaluate_matrices, stratified_kfold, train_logreg
 from core.io import Labels, save_matrix
@@ -45,7 +43,6 @@ GUARDS = {
     "autoencoder-d-out-zero": (lambda _: train_autoencoder(E, 0), CompressorError, "d_out must be >= 1, got 0"),
     "autoencoder-unknown-size": (lambda _: init_params(16, 4, "huge", np.random.default_rng(0)), CompressorError,
                                  "unknown autoencoder size 'huge'"),
-    "svd-unknown-mode": (lambda _: fit_svd(E, 4, "lanczos"), CompressorError, "unknown SVD mode 'lanczos'"),
     "train-config-no-epochs": (lambda _: TrainConfig(max_epochs=0), CompressorError, "max_epochs must be >= 1, got 0"),
 }
 

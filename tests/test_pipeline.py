@@ -168,9 +168,7 @@ def test_fitted_state_roundtrip(tmp_path):
 def test_fitted_neural_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     e0 = rng.standard_normal((12, 6))
-    from core.compressors import TrainConfig, fit_autoencoder
-
-    fc = fit_autoencoder(e0, 2, "large", seed=1, config=TrainConfig(max_epochs=5))
+    fc = fit(CompressorSpec("neural-large", seed=1, params={"max_epochs": 5}), e0, 2)
     save_fitted(fc, tmp_path / "ae.npz")
     back = load_fitted(tmp_path / "ae.npz")
     assert np.all(transform(back, e0) == transform(fc, e0))

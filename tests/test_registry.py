@@ -51,6 +51,16 @@ def test_saved_state_format_and_round_trip(kind, tmp_path):
     assert np.array_equal(transform(loaded, e), transform(fc, e))
 
 
+@pytest.mark.parametrize("d_out", [0, 13])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_rejects_d_out_outside_input_width(kind, d_out):
+    # One rule and one message for every kind, checked before the kind's own fit runs.
+    e = np.random.default_rng(0).standard_normal((40, 12))
+    with pytest.raises(CompressorError) as info:
+        fit(CompressorSpec(kind), e, d_out)
+    assert str(info.value) == f"d_out must be in [1, 12], got {d_out}"
+
+
 def test_load_unknown_serialized_kind(tmp_path):
     meta = json.dumps({"kind": "umap", "input_dim": 4, "output_dim": 2}).encode()
     path = tmp_path / "state.npz"

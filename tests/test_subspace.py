@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from core.compressors import fit_random_subspace, transform
+from core.compressors import CompressorSpec, fit, fit_random_subspace, transform
 from core.errors import CompressorError
 
 
 def random_subspace(e, d, seed):
-    return transform(fit_random_subspace(e.shape[1], d, seed), e)
+    return transform(fit(CompressorSpec("random-subspace", seed=seed), e, d), e)
 
 
 def test_full_subspace_keeps_all_columns_and_normalizes():
@@ -15,13 +15,11 @@ def test_full_subspace_keeps_all_columns_and_normalizes():
     out = random_subspace(e, 6, seed=1)
     norms = np.linalg.norm(out, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-    fc = fit_random_subspace(6, 6, seed=1)
-    assert sorted(fc.state.columns.tolist()) == list(range(6))
+    assert sorted(fit_random_subspace(6, 6, seed=1).columns.tolist()) == list(range(6))
 
 
 def test_selected_indices_distinct():
-    fc = fit_random_subspace(50, 20, seed=3)
-    cols = fc.state.columns
+    cols = fit_random_subspace(50, 20, seed=3).columns
     assert len(cols) == 20
     assert len(set(cols.tolist())) == 20
     assert cols.min() >= 0 and cols.max() < 50
@@ -41,5 +39,5 @@ def test_deterministic():
 
 
 def test_d_out_too_large():
-    with pytest.raises(CompressorError):
+    with pytest.raises(CompressorError, match=r"^d_out must be in \[1, 4\], got 5$"):
         random_subspace(np.ones((3, 4)), 5, seed=0)
