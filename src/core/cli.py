@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -133,47 +134,59 @@ def cmd_run(args) -> int:
     return 1 if errors else 0
 
 
-def _ranked(table: ResultsTable, step: int, alpha: float):
-    """Average ranks at ``step``, their Friedman test and the Nemenyi critical difference."""
+def _rank_sets(table: ResultsTable, step: int) -> dict[str | None, list[EvaluationRecord]]:
+    """The records at ``step`` by representation, in name order: each representation is ranked on
+    its own. A single representation's records are keyed ``None``, so nothing is named after it."""
     records = [r for r in table.records if r.step == step]
-    if not records:
-        raise CoreError(f"no records at step {step}")
-    reps = sorted({r.representation for r in records})
-    datasets = sorted({r.dataset for r in records})
-
-    def method_name(r: EvaluationRecord) -> str:
-        base = series_name(r.compressor, r.mode)
-        return f"{r.representation}:{base}" if len(reps) > 1 else base
-
-    methods = sorted({method_name(r) for r in records})
-    cells = {}
+    sets: dict[str, list[EvaluationRecord]] = {}
     for r in records:
-        ds, m = r.dataset, method_name(r)
-        if (ds, m) in cells:
-            raise CoreError(f"duplicate score for dataset {ds!r}, method {m!r} at step {step}")
-        cells[(ds, m)] = r.epsilon_f1
-    scores = np.empty((len(datasets), len(methods)))
-    for i, ds in enumerate(datasets):
-        for j, m in enumerate(methods):
-            if (ds, m) not in cells:
-                raise CoreError(f"missing score for dataset {ds!r}, method {m!r} at step {step}")
-            scores[i, j] = cells[(ds, m)]
-    ranks = average_ranks(scores, tuple(methods), tuple(datasets))
-    return ranks, friedman_test(ranks), nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
+        sets.setdefault(r.representation, []).append(r)
+    return dict(sorted(sets.items())) if len(sets) > 1 else {None: records}
+
+
+def _ranked(records: list[EvaluationRecord], step: int, alpha: float, representation: str | None):
+    """Average ranks of ``records`` (one representation's, at ``step``), their Friedman test and the
+    Nemenyi critical difference. An error names ``representation`` unless it is ``None``."""
+    try:
+        if not records:
+            raise CoreError(f"no records at step {step}")
+        datasets = sorted({r.dataset for r in records})
+        methods = sorted({series_name(r.compressor, r.mode) for r in records})
+        cells = {}
+        for r in records:
+            ds, m = r.dataset, series_name(r.compressor, r.mode)
+            if (ds, m) in cells:
+                raise CoreError(f"duplicate score for dataset {ds!r}, method {m!r} at step {step}")
+            cells[(ds, m)] = r.epsilon_f1
+        scores = np.empty((len(datasets), len(methods)))
+        for i, ds in enumerate(datasets):
+            for j, m in enumerate(methods):
+                if (ds, m) not in cells:
+                    raise CoreError(f"missing score for dataset {ds!r}, method {m!r} at step {step}")
+                scores[i, j] = cells[(ds, m)]
+        ranks = average_ranks(scores, tuple(methods), tuple(datasets))
+        return ranks, friedman_test(ranks), nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
+    except CoreError as exc:
+        if representation is None:
+            raise
+        raise CoreError(f"representation {representation!r}: {exc}") from exc
 
 
 def cmd_stats(args) -> int:
-    ranks, fried, cd = _ranked(load_results(args.records), args.step, args.alpha)
-    payload = {
-        "step": args.step,
-        "n_datasets": ranks.n_datasets,
-        "methods": list(ranks.methods),
-        "avg_ranks": {m: ranks.avg_ranks[j] for j, m in enumerate(ranks.methods)},
-        **asdict(fried),
-        **asdict(cd),
-        "groups": [list(g.methods) for g in cd_diagram_layout(ranks, cd)],
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    payloads = {}
+    for rep, records in _rank_sets(load_results(args.records), args.step).items():
+        ranks, fried, cd = _ranked(records, args.step, args.alpha, rep)
+        payloads[rep] = {
+            "step": args.step,
+            "n_datasets": ranks.n_datasets,
+            "methods": list(ranks.methods),
+            "avg_ranks": {m: ranks.avg_ranks[j] for j, m in enumerate(ranks.methods)},
+            **asdict(fried),
+            **asdict(cd),
+            "groups": [list(g.methods) for g in cd_diagram_layout(ranks, cd)],
+        }
+    # One representation prints its payload; several print one per representation, keyed by name.
+    print(json.dumps(payloads.pop(None, payloads), indent=2, sort_keys=True))
     return 0
 
 
@@ -185,12 +198,16 @@ def cmd_report(args) -> int:
     emit_tsv(table, out_dir / "results.tsv")
     emit_performance_svg(table, out_dir / "performance.svg", margin=margin)
     written = ["results.tsv", "results.json", "performance.svg"]
-    try:
-        ranks, _, cd = _ranked(table, args.step, args.alpha)  # no diagram where the rank test is undefined
-        emit_cd_svg(ranks, cd, out_dir / f"cd_step_{args.step}.svg")
-        written.append(f"cd_step_{args.step}.svg")
-    except CoreError as exc:
-        print(f"skipping CD diagram: {exc}", file=sys.stderr)
+    for rep, records in _rank_sets(table, args.step).items():
+        name = f"cd_step_{args.step}.svg" if rep is None else f"cd_step_{args.step}_{rep}.svg"
+        try:  # no diagram where the rank test is undefined
+            if Path(name).name != name or not name.isprintable():
+                raise CoreError(f"representation {rep!r} cannot be part of a file name")
+            ranks, _, cd = _ranked(records, args.step, args.alpha, rep)
+            emit_cd_svg(ranks, cd, out_dir / name)
+            written.append(name)
+        except CoreError as exc:
+            print(f"skipping CD diagram: {exc}", file=sys.stderr)
     print(f"wrote {', '.join(written)} to {out_dir}")
     return 0
 
@@ -265,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         check_lower_bounds(vars(args))
         if "alpha" in args and not 0 < args.alpha < 1:  # nemenyi_cd's rule, checked before any work
             raise ConfigError(f"alpha must be in (0, 1), got {args.alpha}")

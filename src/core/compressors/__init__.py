@@ -108,6 +108,12 @@ def number_like(value: Any, default: int | float) -> bool:
             and (not isinstance(value, float) or math.isfinite(value)))
 
 
+def type_name(default: Any) -> str:
+    """What an error message says a value like ``default`` must be: ``a finite number`` for a float
+    (``number_like`` accepts an ``int`` or a finite ``float`` there), else the type's name."""
+    return "a finite number" if isinstance(default, float) else type(default).__name__
+
+
 @dataclass(frozen=True)
 class CompressorSpec:
     """Which algorithm to fit, its seed, and kind-specific settings."""
@@ -131,7 +137,7 @@ class CompressorSpec:
         for key, value in self.params.items():
             if not number_like(value, defaults[key]):
                 raise CompressorError(
-                    f"{self.kind}: param {key!r} must be {type(defaults[key]).__name__}, got {value!r}"
+                    f"{self.kind}: param {key!r} must be {type_name(defaults[key])}, got {value!r}"
                 )
             least = 1 if key in _COUNTS else 0
             if value < least:
@@ -209,6 +215,7 @@ __all__ = [
     "TrainConfig",
     "default_params",
     "number_like",
+    "type_name",
     "prepare",
     "fit",
     "transform",

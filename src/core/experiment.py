@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compressors import CompressorSpec, default_params, number_like
+from .compressors import CompressorSpec, default_params, number_like, type_name
 from .errors import FAILURES, CompressorError, ConfigError, CoreError
 from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, scored_record
 from .io import (Labels, as_f32, load_embeddings, load_labels, load_manifest, read_input, save_labels, save_matrix,
@@ -26,15 +26,11 @@ LOWER_BOUNDS = {"kappa": 2, "margin": 0, "folds": 2, "repeats": 1, "threads": 1,
 
 
 def check_lower_bounds(values: dict) -> None:
-    """``ConfigError`` for the first ``LOWER_BOUNDS`` entry that ``values`` falls below or that is
-    not a finite number; absent or ``None`` passes."""
+    """``ConfigError`` for the first ``LOWER_BOUNDS`` entry that ``values`` falls below; absent or
+    ``None`` passes. Each value must already be a finite number."""
     for name, least in LOWER_BOUNDS.items():
         value = values.get(name)
-        if value is None:
-            continue
-        if not number_like(value, 0.0):
-            raise ConfigError(f"{name} must be a finite number, got {value}")
-        if value < least:
+        if value is not None and value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
@@ -58,7 +54,7 @@ class ExperimentConfig:
             like = {"manifest": "", "task_timeout": None if value is None else 0.0}.get(f.name, f.default)
             if (isinstance(like, str) and not isinstance(value, str)
                     or isinstance(like, (int, float)) and not number_like(value, like)):
-                raise ConfigError(f"{f.name} must be {type(like).__name__}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {type_name(like)}, got {value!r}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ConfigError(f"task_timeout must be > 0, got {self.task_timeout}")
         if not self.specs:

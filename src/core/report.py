@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
-from .compressors import number_like
+from .compressors import number_like, type_name
 from .errors import CoreError
 from .evaluation import EvaluationRecord
 from .io import read_input
@@ -79,7 +79,7 @@ def load_results(path: str | Path) -> ResultsTable:
     if not isinstance(config, dict):
         raise CoreError(f"{path}: meta.config must be an object, got {config!r}")
     if not number_like(config.get("margin", 0.0), 0.0):
-        raise CoreError(f"{path}: meta.config.margin must be a number, got {config['margin']!r}")
+        raise CoreError(f"{path}: meta.config.margin must be a finite number, got {config['margin']!r}")
     return ResultsTable(records=[_record(path, i, r) for i, r in enumerate(records)], meta=meta)
 
 
@@ -92,7 +92,7 @@ def _record(path: str | Path, index: int, data) -> EvaluationRecord:
     for name, kind in RECORD_TYPES.items():
         value = getattr(record, name)
         if not (number_like(value, kind()) if kind in (int, float) else isinstance(value, kind)):
-            raise CoreError(f"{path}: record {index}: {name} must be {kind.__name__}, got {value!r}")
+            raise CoreError(f"{path}: record {index}: {name} must be {type_name(kind())}, got {value!r}")
     return record
 
 
@@ -123,15 +123,19 @@ def _svg_open(title: str) -> list[str]:
 
 
 def emit_performance_svg(t: ResultsTable, path: str | Path, margin: float = 0.05) -> None:
-    """Mean epsilon-F1 per compression step, one polyline per (compressor, mode)."""
+    """Mean epsilon-F1 per compression step, one polyline per (compressor, mode), and per
+    representation if there are several (named ``<representation>:<series>``)."""
     steps = sorted({r.step for r in t.records if r.step >= 1})
     if not steps:
         raise CoreError("no compression steps to plot")
+    several = len({r.representation for r in t.records}) > 1
     series: dict[str, dict[int, list[float]]] = {}
     for r in t.records:
         if r.step < 1:
             continue
-        series.setdefault(series_name(r.compressor, r.mode), {}).setdefault(r.step, []).append(r.epsilon_f1)
+        name = series_name(r.compressor, r.mode)
+        name = f"{r.representation}:{name}" if several else name
+        series.setdefault(name, {}).setdefault(r.step, []).append(r.epsilon_f1)
     names = sorted(series)
     means = {
         name: {s: sum(v) / len(v) for s, v in per_step.items()} for name, per_step in series.items()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from core.cli import main
+from core.cli import build_parser, main
 from core.compressors import KINDS, CompressorSpec
 from core.experiment import make_synthetic_dataset
 from core.io import load_embeddings
@@ -365,15 +366,16 @@ def test_duplicate_score_is_an_error_not_a_silent_overwrite(tmp_path, capsys):
 
 
 def test_stats_any_alpha_and_method_count(tmp_path, capsys):
-    # Two representations x 9 kinds x 2 modes rank 36 methods, past the k = 20 of published tables.
-    methods = [(rep, kind, mode) for rep in ("glove", "bert") for kind in KINDS for mode in ("recursive", "direct")]
+    # 9 kinds x 2 modes under two name prefixes rank 36 methods of one representation, past the k = 20
+    # of published tables (each representation is ranked on its own).
+    methods = [(tag, kind, mode) for tag in ("glove", "bert") for kind in KINDS for mode in ("recursive", "direct")]
 
     def thirty_six_methods(data):
         data["records"] = [
-            dict(data["records"][0], dataset=ds, representation=rep, compressor=kind, mode=mode, step=2, dim=4,
+            dict(data["records"][0], dataset=ds, compressor=f"{tag}-{kind}", mode=mode, step=2, dim=4,
                  epsilon_f1=0.001 * ((7 * j + 5 * i) % 36))
             for i, ds in enumerate(("a", "b", "c"))
-            for j, (rep, kind, mode) in enumerate(methods)
+            for j, (tag, kind, mode) in enumerate(methods)
         ]
 
     _results_file(tmp_path / "results.json", thirty_six_methods)
@@ -394,7 +396,7 @@ BAD_RANKING_FLAGS = {
     "report-alpha-two": ("report", ["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
     "report-alpha-zero": ("report", ["--alpha", "0"], "alpha must be in (0, 1), got 0.0"),
     "report-alpha-negative": ("report", ["--alpha", "-1"], "alpha must be in (0, 1), got -1.0"),
-    "report-alpha-nan": ("report", ["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+    "report-alpha-nan": ("report", ["--alpha", "nan"], "alpha must be a finite number, got nan"),
     "report-margin-negative": ("report", ["--margin", "-1"], "margin must be >= 0, got -1.0"),
     "report-margin-nan": ("report", ["--margin", "nan"], "margin must be a finite number, got nan"),
     "report-margin-inf": ("report", ["--margin", "inf"], "margin must be a finite number, got inf"),
@@ -457,15 +459,18 @@ def test_compress_exact_svd_fewer_docs_than_first_dim_exit_one(tmp_path, capsys,
 
 
 MISTYPED_RESULTS = {
-    "epsilon-f1-string": (lambda d: d["records"][3].update(epsilon_f1="x"), "record 3: epsilon_f1 must be float"),
+    "epsilon-f1-string": (lambda d: d["records"][3].update(epsilon_f1="x"), "record 3: epsilon_f1 must be a finite number"),
     "step-string": (lambda d: d["records"][3].update(step="2"), "record 3: step must be int"),
     "dataset-number": (lambda d: d["records"][0].update(dataset=5), "record 0: dataset must be str"),
     "dim-bool": (lambda d: d["records"][5].update(dim=True), "record 5: dim must be int"),
     "config-null": (lambda d: d.update(meta={"config": None}), "meta.config must be an object"),
-    "margin-string": (lambda d: d.update(meta={"config": {"margin": "x"}}), "meta.config.margin must be a number"),
-    "margin-nan": (lambda d: d.update(meta={"config": {"margin": float("nan")}}), "meta.config.margin must be a number"),
-    "margin-inf": (lambda d: d.update(meta={"config": {"margin": float("inf")}}), "meta.config.margin must be a number"),
-    "mean-f1-nan": (lambda d: d["records"][2].update(mean_f1=float("nan")), "record 2: mean_f1 must be float"),
+    "margin-string": (lambda d: d.update(meta={"config": {"margin": "x"}}),
+                      "meta.config.margin must be a finite number"),
+    "margin-nan": (lambda d: d.update(meta={"config": {"margin": float("nan")}}),
+                   "meta.config.margin must be a finite number"),
+    "margin-inf": (lambda d: d.update(meta={"config": {"margin": float("inf")}}),
+                   "meta.config.margin must be a finite number"),
+    "mean-f1-nan": (lambda d: d["records"][2].update(mean_f1=float("nan")), "record 2: mean_f1 must be a finite number"),
 }
 
 
@@ -745,11 +750,98 @@ def test_run_ignores_the_spec_seed(synth_dir, tmp_path, capsys):
     assert records[0] and records[0] == records[1]
 
 
-@pytest.mark.parametrize("separation", ["1e39", "nan"])
-def test_synth_matrix_rejected_creates_no_out_directory(tmp_path, capsys, separation):
+@pytest.mark.parametrize("separation, code, error", [
+    ("1e39", 1, "error: row 1, col 1: "),  # the matrix does not fit in f32
+    ("nan", 2, "error: separation must be a finite number, got nan"),  # rejected as a flag, before any work
+], ids=["1e39", "nan"])
+def test_synth_matrix_rejected_creates_no_out_directory(tmp_path, capsys, separation, code, error):
     out = tmp_path / "X"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["synth", "--separation", separation, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: row 1, col 1: ")
+        assert main(["synth", "--separation", separation, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
+
+
+def _float_flags() -> list[tuple[str, str]]:
+    """Every (subcommand, flag) pair whose value argparse reads as a float."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0]) for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+def test_float_flags_are_the_known_ones():
+    # Guards the enumeration below: a new float flag shows here and is then covered there.
+    assert set(_float_flags()) == {("synth", "--separation"), ("synth", "--within"), ("synth", "--noise"),
+                                   ("stats", "--alpha"), ("report", "--alpha"), ("report", "--margin")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_non_finite_float_flag_exit_two_before_any_work(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    required = {"synth": ["--out", str(out)], "stats": ["--records", str(tmp_path / "results.json")],
+                "report": ["--records", str(tmp_path / "results.json"), "--out", str(out)]}[command]
+    assert main([command, *required, f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {flag[2:]} must be a finite number, got {value}\n")
+    assert not out.exists()
+
+
+def _two_representations(tmp_path, capsys) -> Path:
+    """``results.json`` of four 60x16 synthetic datasets, ``a`` and ``b`` of representation ``bert``
+    and ``c`` and ``d`` of ``doc2vec``, run with ``svd`` and ``random-subspace`` in both modes, 3x1 CV."""
+    data = tmp_path / "data"
+    for seed, name in enumerate("abcd"):
+        assert main(["synth", "--docs", "60", "--classes", "3", "--rank", "4", "--dim", "16", "--seed", str(seed),
+                     "--out", str(data), "--name", name]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    for entry in manifest:
+        entry["representation"] = "bert" if entry["name"] in "ab" else "doc2vec"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "manifest": str(data / "manifest.json"), "specs": [{"kind": "svd"}, {"kind": "random-subspace"}],
+        "folds": 3, "repeats": 1, "out_dir": str(tmp_path / "results"),
+    }))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    capsys.readouterr()
+    return tmp_path / "results" / "results.json"
+
+
+def test_each_representation_is_ranked_and_drawn_on_its_own(tmp_path, capsys):
+    results = _two_representations(tmp_path, capsys)
+    assert main(["stats", "--records", str(results)]) == 0
+    payloads = json.loads(capsys.readouterr().out)
+    assert sorted(payloads) == ["bert", "doc2vec"]
+    full = json.loads(results.read_text())
+    for rep, payload in payloads.items():
+        assert payload["methods"] == ["random-subspace", "random-subspace-dir", "svd", "svd-dir"]
+        assert payload["n_datasets"] == 2
+        # The same payload as stats on a results file that holds this representation alone.
+        alone = tmp_path / f"{rep}.json"
+        alone.write_text(json.dumps(dict(full, records=[r for r in full["records"] if r["representation"] == rep])))
+        assert main(["stats", "--records", str(alone)]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+
+    assert main(["report", "--records", str(results), "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in (tmp_path / "report").glob("cd_step_*.svg")) == [
+        "cd_step_2_bert.svg", "cd_step_2_doc2vec.svg"]
+    svg = "{http://www.w3.org/2000/svg}"
+    legend = [t.text for t in ET.parse(tmp_path / "report" / "performance.svg").getroot().iter(f"{svg}text")
+              if t.text and ":" in t.text]
+    assert legend == [f"{rep}:{m}" for rep in ("bert", "doc2vec")
+                      for m in ("random-subspace", "random-subspace-dir", "svd", "svd-dir")]
+
+
+def test_representation_with_one_dataset_names_itself(tmp_path, capsys):
+    results = _two_representations(tmp_path, capsys)
+    data = json.loads(results.read_text())
+    data["records"] = [r for r in data["records"] if r["dataset"] != "d"]
+    results.write_text(json.dumps(data))
+    message = "representation 'doc2vec': Friedman test needs N >= 2 and k >= 2, got N=1, k=4"
+    assert main(["stats", "--records", str(results)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["report", "--records", str(results), "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err == f"skipping CD diagram: {message}\n"
+    assert [p.name for p in (tmp_path / "report").glob("cd_step_*.svg")] == ["cd_step_2_bert.svg"]

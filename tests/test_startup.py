@@ -2,7 +2,7 @@
 
 Importing ``scipy.optimize`` takes about 0.45 s and ``scipy.sparse`` about 0.2 s, so a command
 loads only the parts it runs: ``scipy.optimize`` at the first classifier fit, ``scipy.sparse``
-for ``sparse-projection`` and ``scipy.stats`` when ranking.
+for ``sparse-projection`` and ``scipy.special`` when ranking.
 """
 
 import json
@@ -75,3 +75,20 @@ def test_compress_sparse_projection_loads_scipy_sparse_only(tiny):
                            "--out", "steps", "--save-states")
     assert "scipy.sparse" in loaded
     assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded)
+
+
+def _subpackages(loaded: set[str]) -> set[str]:
+    """The public scipy subpackages among ``loaded``; ``scipy.version`` comes with ``import scipy``."""
+    return {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")} - {"version"}
+
+
+@pytest.mark.parametrize("command", [["stats"], ["report", "--out", "report"]])
+def test_ranking_loads_scipy_special_only(tmp_path, command):
+    records = [{"dataset": ds, "representation": "synthetic", "compressor": kind, "mode": "recursive", "step": 2,
+                "dim": 4, "mean_f1": 0.8, "std_f1": 0.01, "epsilon_f1": 0.01 * ((i * j) % 3), "repeats": 1,
+                "extra": {}}
+               for i, ds in enumerate("abc") for j, kind in enumerate(("svd", "random-subspace", "svd-exact"))]
+    (tmp_path / "results.json").write_text(json.dumps({"schema_version": 1, "meta": {}, "records": records}))
+    assert _subpackages(_scipy_loaded(tmp_path, *command, "--records", "results.json")) == {"special"}
+    if command[0] == "report":
+        assert (tmp_path / "report" / "cd_step_2.svg").exists()

@@ -111,6 +111,26 @@ def test_nemenyi_two_methods_is_the_normal_quantile():
         assert nemenyi_cd(2, 1, alpha).q_alpha == round(sps.norm.ppf(1 - alpha / 2), 6)
 
 
+def test_nemenyi_q_alpha_equals_scipy_studentized_range_on_a_grid():
+    # q_alpha is computed by quadrature and bisection; scipy.stats is its oracle here.
+    for alpha in (0.001, 0.01, 0.05, 0.1, 0.5):
+        for k in range(2, 101):
+            expected = round(sps.studentized_range.ppf(1 - alpha, k, np.inf) / np.sqrt(2), 6)
+            assert nemenyi_cd(k, 1, alpha).q_alpha == expected, (alpha, k)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_friedman_p_values_equal_scipy_distributions(ties):
+    rng = np.random.default_rng(21 + ties)
+    for _ in range(300):
+        n, k = int(rng.integers(2, 20)), int(rng.integers(2, 12))
+        scores = rng.integers(0, 3, (n, k)) / 3.0 if ties else rng.random((n, k))
+        res = friedman_test(average_ranks(scores))
+        assert res.p_value == float(sps.chi2.sf(res.chi2_f, k - 1))
+        if np.isfinite(res.iman_davenport_f):
+            assert res.iman_davenport_p == float(sps.f.sf(res.iman_davenport_f, k - 1, (k - 1) * (n - 1)))
+
+
 def test_nemenyi_rejects_invalid_arguments():
     with pytest.raises(StatsError):
         nemenyi_cd(1, 10, 0.05)
