@@ -17,6 +17,13 @@ input with a ragged row, an unparseable token or a ``nan``, an autoencoder whose
 training diverges, and a spec whose ``tol`` is ``NaN``. The exit code, stdout and stderr of each command are compared
 too (``log.txt``), so every failure message is compared byte for byte.
 
+A second flow, logged to ``log_reps.txt``, covers a results file with two
+representations: ``synth`` of two 16-column ``bert`` and two 8-column
+``doc2vec`` datasets, ``run`` with ``svd`` and ``random-subspace`` in both modes,
+then ``stats`` and ``report`` at step 2 (both representations ranked and drawn)
+and step 3 (which only ``bert`` reaches: ``stats`` exits 1, ``report`` skips the
+``doc2vec`` CD diagram).
+
 Before hashing, each ``seconds`` value in ``run.json`` is replaced by 0, the
 flow's own directory in ``results.json`` (the prefix of the absolute paths in its
 ``meta``) by ``<out>``, and a ``.npz`` is hashed over its members' names and bytes
@@ -68,6 +75,8 @@ MODE_CONFIGS = {"dir-rec": ["direct", "recursive"], "dir": ["direct"]}
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
+# (name, representation, dim, seed) of the two-representation flow; an 8-column dataset has 2 steps.
+REP_DATASETS = (("p", "bert", 16, 5), ("q", "bert", 16, 6), ("r", "doc2vec", 8, 7), ("s", "doc2vec", 8, 8))
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -136,6 +145,18 @@ def flow_commands() -> list[list[str]]:
     return cmds
 
 
+def representation_commands() -> list[list[str]]:
+    """The two-representation flow, run after ``flow_commands`` from the same directory."""
+    cmds = [["synth", "--docs", "48", "--classes", "2", "--rank", "3", "--dim", str(dim), "--seed", str(seed),
+             "--out", "reps", "--name", name] for name, _, dim, seed in REP_DATASETS]
+    cmds.append(["run", "--config", "cfg-reps.json"])
+    for step in ("2", "3"):
+        cmds += [["stats", "--records", "results_reps/results.json", "--step", step],
+                 ["report", "--records", "results_reps/results.json", "--out", f"report_reps_step{step}",
+                  "--step", step]]
+    return cmds
+
+
 def run_flow(out: Path) -> None:
     """Write the flow's inputs into ``out`` and run every command there (in this process)."""
     from core.cli import main
@@ -170,12 +191,19 @@ def run_flow(out: Path) -> None:
         Path(f"cfg-{name}.json").write_text(json.dumps(dict(cfg, modes=modes)))
     Path("bad", "nan-tol.json").write_text(json.dumps({"kind": "cluster-mean", "params": {"tol": float("nan")}}))
     Path("bad", "nan-margin-cfg.json").write_text(json.dumps(dict(cfg, margin=float("nan"), out_dir="results-nan")))
-    with open("log.txt", "w") as log:
-        for cmd in flow_commands():
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(cmd)
-            log.write(f"$ core {' '.join(cmd)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+    # The synthesized files with their representations: ``synth`` names every dataset "synthetic".
+    reps = [{"name": name, "embeddings": f"reps/{name}.core", "labels": f"reps/{name}.labels",
+             "representation": rep} for name, rep, _, _ in REP_DATASETS]
+    Path("reps.json").write_text(json.dumps(reps))
+    Path("cfg-reps.json").write_text(json.dumps(dict(cfg, manifest="reps.json", specs=[_spec("svd", 1),
+                                                     _spec("random-subspace", 2)], out_dir="results_reps")))
+    for log_name, cmds in (("log.txt", flow_commands()), ("log_reps.txt", representation_commands())):
+        with open(log_name, "w") as log:
+            for cmd in cmds:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(cmd)
+                log.write(f"$ core {' '.join(cmd)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
 
 
 def _normalized(path: Path, root: Path) -> bytes:

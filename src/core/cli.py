@@ -134,20 +134,20 @@ def cmd_run(args) -> int:
     return 1 if errors else 0
 
 
-def _rank_sets(table: ResultsTable, step: int) -> dict[str | None, list[EvaluationRecord]]:
-    """The records at ``step`` by representation, in name order: each representation is ranked on
+def _by_representation(table: ResultsTable) -> dict[str | None, list[EvaluationRecord]]:
+    """The records by representation, in name order: each representation is ranked and drawn on
     its own. A single representation's records are keyed ``None``, so nothing is named after it."""
-    records = [r for r in table.records if r.step == step]
     sets: dict[str, list[EvaluationRecord]] = {}
-    for r in records:
+    for r in table.records:
         sets.setdefault(r.representation, []).append(r)
-    return dict(sorted(sets.items())) if len(sets) > 1 else {None: records}
+    return dict(sorted(sets.items())) if len(sets) > 1 else {None: table.records}
 
 
 def _ranked(records: list[EvaluationRecord], step: int, alpha: float, representation: str | None):
-    """Average ranks of ``records`` (one representation's, at ``step``), their Friedman test and the
+    """Average ranks of ``records`` at ``step`` (one representation's), their Friedman test and the
     Nemenyi critical difference. An error names ``representation`` unless it is ``None``."""
     try:
+        records = [r for r in records if r.step == step]
         if not records:
             raise CoreError(f"no records at step {step}")
         datasets = sorted({r.dataset for r in records})
@@ -167,14 +167,12 @@ def _ranked(records: list[EvaluationRecord], step: int, alpha: float, representa
         ranks = average_ranks(scores, tuple(methods), tuple(datasets))
         return ranks, friedman_test(ranks), nemenyi_cd(ranks.n_methods, ranks.n_datasets, alpha)
     except CoreError as exc:
-        if representation is None:
-            raise
-        raise CoreError(f"representation {representation!r}: {exc}") from exc
+        raise exc if representation is None else CoreError(f"representation {representation!r}: {exc}")
 
 
 def cmd_stats(args) -> int:
     payloads = {}
-    for rep, records in _rank_sets(load_results(args.records), args.step).items():
+    for rep, records in _by_representation(load_results(args.records)).items():
         ranks, fried, cd = _ranked(records, args.step, args.alpha, rep)
         payloads[rep] = {
             "step": args.step,
@@ -196,16 +194,22 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     margin = args.margin if args.margin is not None else table.meta.get("config", {}).get("margin", ExperimentConfig.margin)
     emit_tsv(table, out_dir / "results.tsv")
-    emit_performance_svg(table, out_dir / "performance.svg", margin=margin)
-    written = ["results.tsv", "results.json", "performance.svg"]
-    for rep, records in _rank_sets(table, args.step).items():
-        name = f"cd_step_{args.step}.svg" if rep is None else f"cd_step_{args.step}_{rep}.svg"
+    written = ["results.tsv", "results.json"]
+    for rep, records in _by_representation(table).items():
+        suffix = "" if rep is None else f"_{rep}"
+        performance, cd_name = f"performance{suffix}.svg", f"cd_step_{args.step}{suffix}.svg"
+        if Path(performance).name != performance or not performance.isprintable():
+            print(f"skipping figures: representation {rep!r} cannot be part of a file name", file=sys.stderr)
+            continue
+        try:
+            emit_performance_svg(ResultsTable(records), out_dir / performance, margin=margin)
+        except CoreError as exc:  # a representation without compression steps
+            raise exc if rep is None else CoreError(f"representation {rep!r}: {exc}")
+        written.append(performance)
         try:  # no diagram where the rank test is undefined
-            if Path(name).name != name or not name.isprintable():
-                raise CoreError(f"representation {rep!r} cannot be part of a file name")
             ranks, _, cd = _ranked(records, args.step, args.alpha, rep)
-            emit_cd_svg(ranks, cd, out_dir / name)
-            written.append(name)
+            emit_cd_svg(ranks, cd, out_dir / cd_name)
+            written.append(cd_name)
         except CoreError as exc:
             print(f"skipping CD diagram: {exc}", file=sys.stderr)
     print(f"wrote {', '.join(written)} to {out_dir}")
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print the dimension schedule, one per line")
     p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--kappa", type=int, default=2)
+    p.add_argument("--kappa", type=int, default=ExperimentConfig.kappa)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", parents=[matrix_input], help="run one compression schedule and write step files")
     p.add_argument("--spec", required=True, help="JSON file: {kind, seed, params}")
     p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="rec")
-    p.add_argument("--kappa", type=int, default=2)
+    p.add_argument("--kappa", type=int, default=ExperimentConfig.kappa)
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p.add_argument("--out", required=True)
     p.add_argument("--spill", action="store_true",
@@ -250,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[matrix_input], help="score one compressed matrix against a baseline")
     p.add_argument("--labels", required=True)
     p.add_argument("--baseline", required=True)
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=int, default=ExperimentConfig.folds)
+    p.add_argument("--repeats", type=int, default=ExperimentConfig.repeats)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--name", default=None)
     p.add_argument("--representation", default="")
     p.add_argument("--kind", default="external")

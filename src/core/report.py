@@ -123,19 +123,14 @@ def _svg_open(title: str) -> list[str]:
 
 
 def emit_performance_svg(t: ResultsTable, path: str | Path, margin: float = 0.05) -> None:
-    """Mean epsilon-F1 per compression step, one polyline per (compressor, mode), and per
-    representation if there are several (named ``<representation>:<series>``)."""
+    """Mean epsilon-F1 per compression step, one polyline per (compressor, mode)."""
     steps = sorted({r.step for r in t.records if r.step >= 1})
     if not steps:
         raise CoreError("no compression steps to plot")
-    several = len({r.representation for r in t.records}) > 1
     series: dict[str, dict[int, list[float]]] = {}
     for r in t.records:
-        if r.step < 1:
-            continue
-        name = series_name(r.compressor, r.mode)
-        name = f"{r.representation}:{name}" if several else name
-        series.setdefault(name, {}).setdefault(r.step, []).append(r.epsilon_f1)
+        if r.step >= 1:
+            series.setdefault(series_name(r.compressor, r.mode), {}).setdefault(r.step, []).append(r.epsilon_f1)
     names = sorted(series)
     means = {
         name: {s: sum(v) / len(v) for s, v in per_step.items()} for name, per_step in series.items()

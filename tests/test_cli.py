@@ -788,16 +788,18 @@ def test_non_finite_float_flag_exit_two_before_any_work(tmp_path, capsys, comman
     assert not out.exists()
 
 
-def _two_representations(tmp_path, capsys) -> Path:
-    """``results.json`` of four 60x16 synthetic datasets, ``a`` and ``b`` of representation ``bert``
-    and ``c`` and ``d`` of ``doc2vec``, run with ``svd`` and ``random-subspace`` in both modes, 3x1 CV."""
+def _two_representations(tmp_path, capsys, second="doc2vec", second_dim=16) -> Path:
+    """``results.json`` of four 60-document synthetic datasets, ``a`` and ``b`` of representation
+    ``bert`` at dim 16 and ``c`` and ``d`` of ``second`` at ``second_dim``, run with ``svd`` and
+    ``random-subspace`` in both modes, 3x1 CV."""
     data = tmp_path / "data"
     for seed, name in enumerate("abcd"):
-        assert main(["synth", "--docs", "60", "--classes", "3", "--rank", "4", "--dim", "16", "--seed", str(seed),
+        dim = 16 if name in "ab" else second_dim
+        assert main(["synth", "--docs", "60", "--classes", "3", "--rank", "4", "--dim", str(dim), "--seed", str(seed),
                      "--out", str(data), "--name", name]) == 0
     manifest = json.loads((data / "manifest.json").read_text())
     for entry in manifest:
-        entry["representation"] = "bert" if entry["name"] in "ab" else "doc2vec"
+        entry["representation"] = "bert" if entry["name"] in "ab" else second
     (data / "manifest.json").write_text(json.dumps(manifest))
     (tmp_path / "cfg.json").write_text(json.dumps({
         "manifest": str(data / "manifest.json"), "specs": [{"kind": "svd"}, {"kind": "random-subspace"}],
@@ -806,6 +808,12 @@ def _two_representations(tmp_path, capsys) -> Path:
     assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
     capsys.readouterr()
     return tmp_path / "results" / "results.json"
+
+
+def _legend(path: Path) -> list[str]:
+    """The series names in the legend of the performance figure at ``path``."""
+    texts = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+    return [t.text for t in texts if t.get("text-anchor") is None]  # titles and tick labels are anchored
 
 
 def test_each_representation_is_ranked_and_drawn_on_its_own(tmp_path, capsys):
@@ -823,15 +831,14 @@ def test_each_representation_is_ranked_and_drawn_on_its_own(tmp_path, capsys):
         assert main(["stats", "--records", str(alone)]) == 0
         assert json.loads(capsys.readouterr().out) == payload
 
-    assert main(["report", "--records", str(results), "--out", str(tmp_path / "report")]) == 0
+    report_dir = tmp_path / "report"
+    assert main(["report", "--records", str(results), "--out", str(report_dir)]) == 0
     assert capsys.readouterr().err == ""
-    assert sorted(p.name for p in (tmp_path / "report").glob("cd_step_*.svg")) == [
-        "cd_step_2_bert.svg", "cd_step_2_doc2vec.svg"]
-    svg = "{http://www.w3.org/2000/svg}"
-    legend = [t.text for t in ET.parse(tmp_path / "report" / "performance.svg").getroot().iter(f"{svg}text")
-              if t.text and ":" in t.text]
-    assert legend == [f"{rep}:{m}" for rep in ("bert", "doc2vec")
-                      for m in ("random-subspace", "random-subspace-dir", "svd", "svd-dir")]
+    assert sorted(p.name for p in report_dir.glob("*.svg")) == [
+        "cd_step_2_bert.svg", "cd_step_2_doc2vec.svg", "performance_bert.svg", "performance_doc2vec.svg"]
+    for rep in ("bert", "doc2vec"):
+        assert _legend(report_dir / f"performance_{rep}.svg") == [
+            "random-subspace", "random-subspace-dir", "svd", "svd-dir"]
 
 
 def test_representation_with_one_dataset_names_itself(tmp_path, capsys):
@@ -845,3 +852,34 @@ def test_representation_with_one_dataset_names_itself(tmp_path, capsys):
     assert main(["report", "--records", str(results), "--out", str(tmp_path / "report")]) == 0
     assert capsys.readouterr().err == f"skipping CD diagram: {message}\n"
     assert [p.name for p in (tmp_path / "report").glob("cd_step_*.svg")] == ["cd_step_2_bert.svg"]
+
+
+def test_step_that_one_representation_does_not_reach(tmp_path, capsys):
+    # doc2vec at dim 8 has 2 steps and bert at dim 16 has 3: at step 3 the split stays by representation.
+    results = _two_representations(tmp_path, capsys, second_dim=8)
+    assert main(["stats", "--records", str(results), "--step", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: representation 'doc2vec': no records at step 3\n")
+    report_dir = tmp_path / "report"
+    assert main(["report", "--records", str(results), "--out", str(report_dir), "--step", "3"]) == 0
+    assert capsys.readouterr().err == "skipping CD diagram: representation 'doc2vec': no records at step 3\n"
+    assert sorted(p.name for p in report_dir.glob("*.svg")) == [
+        "cd_step_3_bert.svg", "performance_bert.svg", "performance_doc2vec.svg"]
+
+
+def test_representation_that_cannot_be_a_file_name_is_skipped(tmp_path, capsys):
+    results = _two_representations(tmp_path, capsys, second="a/b")
+    report_dir = tmp_path / "report"
+    assert main(["report", "--records", str(results), "--out", str(report_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "skipping figures: representation 'a/b' cannot be part of a file name\n"
+    assert out == f"wrote results.tsv, results.json, performance_bert.svg, cd_step_2_bert.svg to {report_dir}\n"
+    assert sorted(p.name for p in report_dir.rglob("*.svg")) == ["cd_step_2_bert.svg", "performance_bert.svg"]
+
+
+def test_representation_without_compression_steps_names_itself(tmp_path, capsys):
+    results = _two_representations(tmp_path, capsys)
+    data = json.loads(results.read_text())
+    data["records"] = [dict(r, step=0) if r["representation"] == "doc2vec" else r for r in data["records"]]
+    results.write_text(json.dumps(data))
+    assert main(["report", "--records", str(results), "--out", str(tmp_path / "report")]) == 1
+    assert capsys.readouterr().err == "error: representation 'doc2vec': no compression steps to plot\n"

@@ -4,9 +4,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from core.compressors import KINDS
 from core.errors import CoreError
 from core.evaluation import EvaluationRecord
 from core.report import (
+    SVG_HEIGHT,
     ResultsTable,
     emit_cd_svg,
     emit_json,
@@ -123,6 +125,17 @@ def test_performance_svg_margin_line_in_data_coordinates(tmp_path):
     margin_y = float(lines["margin"].get("y1"))
     # -0.05 sits below 0 on screen (larger pixel y), halfway to the -0.1 point.
     assert margin_y > zero_y
+
+
+def test_performance_svg_legend_of_every_kind_in_both_modes_fits(tmp_path):
+    # One representation of the paper's methods: 9 kinds x 2 modes = 18 series.
+    records = [record(compressor=kind, mode=mode, step=s, eps=-0.01 * s)
+               for kind in KINDS for mode in ("recursive", "direct") for s in (1, 2)]
+    out = tmp_path / "perf.svg"
+    emit_performance_svg(ResultsTable(records=records), out)
+    legend = [t for t in svg_elements(out, "text") if t.get("text-anchor") is None]  # the rest are anchored
+    assert sorted(t.text for t in legend) == sorted(series_name(k, m) for k in KINDS for m in ("recursive", "direct"))
+    assert all(float(t.get("y")) <= SVG_HEIGHT for t in legend)
 
 
 def test_performance_svg_requires_steps(tmp_path):
