@@ -1,8 +1,8 @@
 """Which scipy parts each command loads, each checked in a fresh interpreter.
 
-Importing ``scipy.optimize`` takes about 0.45 s and ``scipy.sparse`` about 0.2 s, so a command
-loads only the parts it runs: ``scipy.optimize`` at the first classifier fit, ``scipy.sparse``
-for ``sparse-projection`` and ``scipy.special`` when ranking.
+Importing ``scipy.optimize`` takes about 0.45 s, so a command loads only the scipy parts it runs:
+``scipy.optimize`` at the first classifier fit and ``scipy.special`` when ranking. No compressor
+kind loads any: ``core compress`` and the transform of a loaded state run on numpy alone.
 """
 
 import json
@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from core.compressors import KINDS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Runs ``core <argv>`` (or only imports core.cli when argv is empty) and prints, as its last line,
 # the exit code and the sorted names of the loaded modules that start with "scipy".
@@ -22,11 +24,20 @@ from core.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
 """
+# Loads the saved state ``argv[1]``, transforms three rows with it and prints what PROBE prints.
+APPLY_PROBE = """
+import json, sys
+import numpy as np
+from core.compressors import load_fitted, transform
+fc = load_fitted(sys.argv[1])
+transform(fc, np.ones((3, fc.input_dim)))
+print(json.dumps([0, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
 
 
-def _scipy_loaded(cwd: Path, *argv: str) -> set[str]:
+def _scipy_loaded(cwd: Path, *argv: str, probe: str = PROBE) -> set[str]:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -69,12 +80,15 @@ def test_compress_svd_exact_loads_no_scipy(tiny, mode):
     assert (tiny / "steps" / "state_1.npz").exists()
 
 
-def test_compress_sparse_projection_loads_scipy_sparse_only(tiny):
-    (tiny / "spec.json").write_text('{"kind": "sparse-projection", "seed": 1}')
-    loaded = _scipy_loaded(tiny, "compress", "--input", "data/tiny.core", "--spec", "spec.json",
-                           "--out", "steps", "--save-states")
-    assert "scipy.sparse" in loaded
-    assert not any(m.startswith(("scipy.optimize", "scipy.stats")) for m in loaded)
+@pytest.mark.parametrize("kind", KINDS)
+def test_compress_loads_no_scipy(tiny, kind):
+    params = {"max_epochs": 3} if kind.startswith("neural-") else {}
+    (tiny / "spec.json").write_text(json.dumps({"kind": kind, "seed": 1, "params": params}))
+    assert _scipy_loaded(tiny, "compress", "--input", "data/tiny.core", "--spec", "spec.json",
+                         "--out", "steps", "--save-states") == set()
+    assert (tiny / "steps" / "state_1.npz").exists()
+    if kind == "sparse-projection":
+        assert _scipy_loaded(tiny, "steps/state_1.npz", probe=APPLY_PROBE) == set()
 
 
 def _subpackages(loaded: set[str]) -> set[str]:
