@@ -5,7 +5,9 @@ Runs one fixed flow through ``core.cli.main`` against each tree, each in its own
 process with BLAS pinned to one thread, then compares every file the flows wrote
 by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
-``--threads`` 1 and 2, and in direct mode alone; ``stats`` and ``report`` at alpha 0.05 and 0.1;
+``--threads`` 1 and 2, and in direct mode alone; ``run`` at ``repeats`` 2 with ``sparse-projection``,
+``svd-exact``, ``cluster-mean`` and ``neural-small`` in both modes, so that a change of repeat order or
+fold plan shows; ``stats`` and ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus seventeen commands that
 must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
@@ -72,6 +74,8 @@ BAD_CSV = {"ragged": "1.0,2.0\n3.0\n", "token": "1.0,2.0\n3.0,x\n", "nan": "1.0,
 BAD_MANIFESTS = {"empty": "[]", "no-path": '[{"name": "x", "embeddings": "", "labels": "x.labels"}]'}
 # ``run`` configs besides cfg.json's ["recursive", "direct"], by name: the same config with these modes.
 MODE_CONFIGS = {"dir-rec": ["direct", "recursive"], "dir": ["direct"]}
+# The kinds of the run at two repeats: cfg.json's other runs score one.
+REPEAT_KINDS = ("sparse-projection", "svd-exact", "cluster-mean", "neural-small")
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
@@ -101,6 +105,7 @@ def flow_commands() -> list[list[str]]:
     for name in MODE_CONFIGS:
         cmds.append(["run", "--config", f"cfg-{name}.json", "--out", f"results_{name}"])
     cmds.append(["run", "--config", "cfg-dir-rec.json", "--threads", "2", "--out", "results_dir-rec_t2"])
+    cmds.append(["run", "--config", "cfg-r2.json", "--out", "results_r2"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],
@@ -189,6 +194,8 @@ def run_flow(out: Path) -> None:
     Path("cfg.json").write_text(json.dumps(cfg))
     for name, modes in MODE_CONFIGS.items():
         Path(f"cfg-{name}.json").write_text(json.dumps(dict(cfg, modes=modes)))
+    Path("cfg-r2.json").write_text(json.dumps(dict(cfg, repeats=2, specs=[
+        _spec(kind, KINDS.index(kind) + 1) for kind in REPEAT_KINDS])))
     Path("bad", "nan-tol.json").write_text(json.dumps({"kind": "cluster-mean", "params": {"tol": float("nan")}}))
     Path("bad", "nan-margin-cfg.json").write_text(json.dumps(dict(cfg, margin=float("nan"), out_dir="results-nan")))
     # The synthesized files with their representations: ``synth`` names every dataset "synthetic".

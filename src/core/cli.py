@@ -14,7 +14,7 @@ import numpy as np
 
 from .compressors import CompressorSpec, save_fitted
 from .errors import FAILURES, CompressorError, ConfigError, CoreError, DatasetError
-from .evaluation import EvaluationRecord, evaluate_representation, scored_record
+from .evaluation import EvaluationRecord, evaluate_representation, fold_plan, scored_record
 from .experiment import (
     ExperimentConfig,
     check_lower_bounds,
@@ -105,8 +105,9 @@ def cmd_evaluate(args) -> int:
     labels = load_labels(args.labels)
     validate_dataset(e, labels, args.folds)
     validate_dataset(base, labels, args.folds)
-    compressed = evaluate_representation(e, labels, args.folds, args.repeats, args.seed)
-    baseline = evaluate_representation(base, labels, args.folds, args.repeats, args.seed)
+    plan = fold_plan(labels, args.folds, args.seed, args.repeats)  # one fold plan for both matrices
+    compressed = evaluate_representation(e, labels, args.folds, args.repeats, args.seed, plan)
+    baseline = evaluate_representation(base, labels, args.folds, args.repeats, args.seed, plan)
     record = scored_record(args.name or Path(args.input).stem, args.representation, args.kind, args.mode,
                            args.step, e.shape[1], compressed, baseline.mean_f1, args.repeats,
                            eval_seed=args.seed, baseline_mean_f1=baseline.mean_f1)

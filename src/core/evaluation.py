@@ -37,6 +37,12 @@ class EvalResult:
     std_f1: float
     per_fold: tuple[tuple[int, int, float], ...]  # (repeat, fold, score)
 
+    @classmethod
+    def of(cls, scores) -> "EvalResult":
+        """Mean and population std of the (repeat, fold, score) tuples, kept in their order."""
+        values = np.array([s for _, _, s in scores])
+        return cls(float(values.mean()), float(values.std()), tuple(scores))
+
 
 @dataclass(frozen=True)
 class EvaluationRecord:
@@ -68,6 +74,11 @@ def stratified_kfold(labels: Labels, k: int, seed: int) -> np.ndarray:
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % k
     return fold_of
+
+
+def fold_plan(labels: Labels, k: int, seed: int, repeats: int) -> dict[int, np.ndarray]:
+    """The fold ids of each repeat r, from ``stratified_kfold(labels, k, mix64(seed, r))``."""
+    return {r: stratified_kfold(labels, k, mix64(seed, r)) for r in range(repeats)}
 
 
 def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float):
@@ -178,30 +189,26 @@ def evaluate_matrices(
     labels: Labels,
     k: int = 3,
     seed: int = 0,
+    plan: dict[int, np.ndarray] | None = None,
 ) -> EvalResult:
     """Score one matrix per repeat; repeat r uses folds seeded with mix64(seed, r).
 
     Fold assignments depend only on (labels, k, seed), never on the matrices,
     so a baseline and any compressed variant evaluated with the same seed share
-    folds exactly.
+    folds exactly. ``plan`` maps the repeat of each matrix, in order, to its fold
+    ids; when None it is ``fold_plan(labels, k, seed, len(matrices))``.
     """
-    repeats = len(matrices)
+    plan = fold_plan(labels, k, seed, len(matrices)) if plan is None else plan
     scores = []
-    for r, e in enumerate(matrices):
+    for (r, fold_of), e in zip(plan.items(), matrices, strict=True):
         e = np.asarray(e, dtype=np.float64)
         if e.shape[0] != len(labels):
             raise EvaluationError(f"repeat {r}: {e.shape[0]} rows but {len(labels)} labels")
-        fold_of = stratified_kfold(labels, k, mix64(seed, r))
         for f in range(k):
             test = fold_of == f
             model = train_logreg(e[~test], labels.ids[~test])
             scores.append((r, f, micro_f1(predict(model, e[test]), labels.ids[test])))
-    values = np.array([s for _, _, s in scores])
-    return EvalResult(
-        mean_f1=float(values.mean()),
-        std_f1=float(values.std()),
-        per_fold=tuple(scores),
-    )
+    return EvalResult.of(scores)
 
 
 def evaluate_representation(
@@ -210,6 +217,8 @@ def evaluate_representation(
     k: int = 3,
     repeats: int = 3,
     seed: int = 0,
+    plan: dict[int, np.ndarray] | None = None,
 ) -> EvalResult:
-    """Repeated stratified k-fold evaluation of a single fixed matrix."""
-    return evaluate_matrices([e] * repeats, labels, k, seed)
+    """Repeated stratified k-fold evaluation of a single fixed matrix; ``plan`` is as in
+    ``evaluate_matrices``."""
+    return evaluate_matrices([e] * repeats, labels, k, seed, plan)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +13,8 @@ import numpy as np
 from . import __version__
 from .compressors import CompressorSpec, default_params, number_like, type_name
 from .errors import FAILURES, CompressorError, ConfigError, CoreError
-from .evaluation import DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, scored_record
+from .evaluation import (DEFAULT_C, EvalResult, EvaluationRecord, evaluate_matrices, evaluate_representation, fold_plan,
+                         scored_record)
 from .io import (Labels, as_f32, load_embeddings, load_labels, load_manifest, read_input, save_labels, save_matrix,
                  validate_dataset)
 from .pipeline import compress_direct, compress_recursive, dimension_schedule, mix64
@@ -134,6 +135,7 @@ class _Dataset:
     matrix: np.ndarray
     labels: Labels
     eval_seed: int
+    plan: dict[int, np.ndarray]  # each repeat's fold ids, for the baseline and every step
     baseline_mean: float
 
 
@@ -146,30 +148,34 @@ def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, ste
 def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str, shared=None):
     """The records and step 1 (each repeat's ``StepResult``, their ``EvalResult``) of one
     (dataset, spec, mode) task, which reuses ``shared``, another mode's step 1, if given.
-    ``task_timeout`` counts from the task's start and is checked after each
-    compression step and before each step's scoring."""
+    Each step of each repeat is scored on that repeat's folds as soon as it is made, and
+    only its fold scores are kept. ``task_timeout`` counts from the task's start and is
+    checked after each compression step, before its scoring."""
     deadline = None if cfg.task_timeout is None else time.monotonic() + cfg.task_timeout
-
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
-            raise CoreError(f"timed out after {cfg.task_timeout}s")
-
     spec = cfg.specs[spec_index]
     schedule = dimension_schedule(ds.matrix.shape[1], cfg.kappa)
     compress = compress_recursive if mode == "recursive" else compress_direct
     task_seed = mix64(mix64(cfg.seed, ds.index), spec_index)
     repeat_seeds = [mix64(task_seed, r) for r in range(cfg.repeats)]
     firsts = shared[0] if shared else [None] * cfg.repeats
-    runs = [compress(ds.matrix, spec.with_seed(s), schedule, on_step=lambda *_: check_deadline(), first=f)
-            for s, f in zip(repeat_seeds, firsts)]
-    records, results = [], []
-    for i, dim in enumerate(schedule.dims, start=1):
-        check_deadline()
-        mats = [run.outputs()[i - 1] for run in runs]
-        res = shared[1] if shared and i == 1 else evaluate_matrices(mats, ds.labels, cfg.folds, ds.eval_seed)
-        results.append(res)
-        records.append(_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds))
-    return records, ([run.steps[0] for run in runs], results[0])
+    scores = {i: [] for i in range(1, schedule.steps + 1)}  # (repeat, fold, score) of each step
+    step_1_outputs = []
+
+    def on_step(r, i, out):
+        if deadline is not None and time.monotonic() > deadline:
+            raise CoreError(f"timed out after {cfg.task_timeout}s")
+        if i == 1:
+            step_1_outputs.append(out)
+        if not (shared and i == 1):
+            scores[i] += evaluate_matrices([out], ds.labels, cfg.folds, ds.eval_seed, {r: ds.plan[r]}).per_fold
+
+    runs = [compress(ds.matrix, spec.with_seed(s), schedule, retain=False,
+                     on_step=lambda i, _dim, out, _fc, r=r: on_step(r, i, out), first=f)
+            for r, (s, f) in enumerate(zip(repeat_seeds, firsts))]
+    results = [shared[1] if shared and i == 1 else EvalResult.of(scores[i]) for i in scores]
+    records = [_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds)
+               for i, (dim, res) in enumerate(zip(schedule.dims, results), start=1)]
+    return records, ([replace(run.steps[0], output=out) for run, out in zip(runs, step_1_outputs)], results[0])
 
 
 def _run_spec(cfg: ExperimentConfig, ds: _Dataset, spec_index: int):
@@ -204,11 +210,12 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
             labels = load_labels(entry.labels)
             validate_dataset(e, labels, cfg.folds)
             eval_seed = mix64(cfg.seed, idx)
-            base = evaluate_representation(e, labels, cfg.folds, cfg.repeats, eval_seed)
+            plan = fold_plan(labels, cfg.folds, eval_seed, cfg.repeats)
+            base = evaluate_representation(e, labels, cfg.folds, cfg.repeats, eval_seed, plan)
         except FAILURES as exc:
             errors.append(f"dataset {entry.name}: {exc}")
             continue
-        ds = _Dataset(idx, entry.name, entry.representation, e, labels, eval_seed, base.mean_f1)
+        ds = _Dataset(idx, entry.name, entry.representation, e, labels, eval_seed, plan, base.mean_f1)
         datasets.append(ds)
         records.append(_record(cfg, ds, "baseline", "none", 0, e.shape[1], base))
 

@@ -116,7 +116,7 @@ def _run(
                                     state_bytes=fc.state_bytes(), output=out if retain else None))
         if on_step is not None:
             on_step(i, dim, out, fc)
-        current = out
+        current = out if mode == "recursive" else e0  # a direct run holds no earlier step's matrix
     return CompressionRun(steps)
 
 

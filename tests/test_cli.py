@@ -83,6 +83,18 @@ def test_evaluate_identity_epsilon_zero(synth_dir, capsys):
     assert 0.0 <= record["mean_f1"] <= 1.0
 
 
+def test_evaluate_scores_both_matrices_on_one_fold_plan(synth_dir, monkeypatch, capsys):
+    import core.evaluation as evaluation
+
+    real, calls = evaluation.stratified_kfold, []
+    monkeypatch.setattr(evaluation, "stratified_kfold", lambda *args: calls.append(args) or real(*args))
+    tiny = str(synth_dir / "tiny.core")
+    assert main(["evaluate", "--input", tiny, "--baseline", tiny, "--labels", str(synth_dir / "tiny.labels"),
+                 "--repeats", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon_f1"] == 0.0
+    assert len(calls) == 3  # one per repeat, not one per repeat and matrix
+
+
 def test_run_stats_report_pipeline(synth_dir, tmp_path, capsys):
     assert main(["synth", "--docs", "36", "--classes", "3", "--rank", "4", "--dim", "16",
                  "--seed", "4", "--out", str(synth_dir), "--name", "tiny2"]) == 0

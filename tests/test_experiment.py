@@ -286,7 +286,7 @@ def test_both_modes_fit_and_score_step_1_once(tmp_path, monkeypatch, threads):
     pairs = 2 * len(SHARED_SPECS)  # (dataset, spec)
     per_pair = (2 * SHARED_STEPS - 1) * 2  # repeats=2
     assert collections.Counter(args[0].kind for args in fits) == {s.kind: 2 * per_pair for s in SHARED_SPECS}
-    assert len(scores) == pairs * (2 * SHARED_STEPS - 1)
+    assert len(scores) == pairs * (2 * SHARED_STEPS - 1) * 2  # one scoring per (repeat, step)
 
 
 def test_shared_step_1_records_match_separate_and_reordered_runs(tmp_path):
@@ -332,6 +332,55 @@ def test_no_step_output_outlives_the_mode_tasks_of_its_spec(tmp_path, monkeypatc
     assert table.meta["errors"] == []
     gc.collect()
     assert outputs and all(ref() is None for refs in outputs.values() for ref in refs)
+
+
+def test_each_dataset_draws_its_folds_once_per_repeat(tmp_path, monkeypatch):
+    import core.evaluation as evaluation
+
+    manifest = small_manifest(tmp_path)
+    calls = []
+    _counting(monkeypatch, evaluation, "stratified_kfold", calls)
+    table = run_experiment(small_config(manifest, repeats=3))
+    assert table.meta["errors"] == []
+    # Two datasets with 3 repeats each; the baseline and both specs' steps in both modes share them.
+    assert len(calls) == 2 * 3
+
+
+@pytest.mark.parametrize("modes", [("recursive", "direct"), ("direct", "recursive")])
+def test_a_step_is_scored_while_no_other_step_matrix_is_alive(tmp_path, monkeypatch, modes):
+    import gc
+    import weakref
+
+    import core.experiment as experiment
+    import core.pipeline as pipeline
+
+    manifest = small_manifest(tmp_path, names=("only",))
+    outputs = []  # (weakref of a step matrix, of its input, its width)
+    transform, evaluate, scored = pipeline.transform, experiment.evaluate_matrices, []
+
+    def kept_transform(fc, e):
+        out = transform(fc, e)
+        outputs.append((weakref.ref(out), weakref.ref(e), out.shape[1]))
+        return out
+
+    def checked_evaluate(matrices, *args):
+        gc.collect()
+        scoring = matrices[0]
+        source = next((src() for out, src, _ in outputs if out() is scoring), scoring)
+        if source is not scoring:  # a step matrix, not the baseline's input
+            assert len(matrices) == 1
+            alive = [(out(), width) for out, _, width in outputs if out() is not None]
+            others = [m for m, width in alive if m is not scoring and m is not source and width != 8]
+            assert others == []
+            assert sum(width == 8 for _, width in alive) <= 2  # each repeat's step 1, 16 -> 8
+            scored.append(scoring.shape[1])
+        return evaluate(matrices, *args)
+
+    monkeypatch.setattr(pipeline, "transform", kept_transform)
+    monkeypatch.setattr(experiment, "evaluate_matrices", checked_evaluate)
+    table = run_experiment(small_config(manifest, specs=SHARED_SPECS[:2], modes=modes))
+    assert table.meta["errors"] == []
+    assert len(scored) == 2 * 2 * (2 * SHARED_STEPS - 1)  # specs x repeats x (steps of both modes, step 1 once)
 
 
 def test_recursive_failure_after_step_1_leaves_direct_records_unchanged(tmp_path, monkeypatch):

@@ -112,6 +112,24 @@ def test_fit_and_apply_match_scipy_sparse(n, d_in, d_out, kind):
     _assert_same_bits(state.apply(e), e @ want)
 
 
+def test_apply_allocates_the_output_and_one_block_of_columns():
+    import tracemalloc
+
+    from core.compressors.projection import _BLOCK
+
+    state = fit_sparse_projection(384, 192, seed=11)
+    e = np.random.default_rng(0).standard_normal((2000, 384))
+    tracemalloc.start()
+    try:
+        out = state.apply(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output, one block of input columns and a row of products at a time, with a row to spare
+    # for small objects; a transposed copy of e alone would take 6 MB here.
+    assert peak < out.nbytes + (_BLOCK + 2) * e.shape[0] * e.itemsize
+
+
 def _blob(data, indices, indptr, d_in, d_out):
     blob = {"proj_data": np.asarray(data), "proj_indices": np.asarray(indices),
             "proj_indptr": np.asarray(indptr)}
