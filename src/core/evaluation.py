@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lbfgs as optimize  # a module binding: train_logreg looks it up at each call
 from .errors import EvaluationError
 from .io import Labels
 from .pipeline import mix64
@@ -13,16 +14,6 @@ from .pipeline import mix64
 DEFAULT_C = 1.0
 MAX_ITER = 500
 GRAD_TOL = 1e-5
-
-
-def __getattr__(name: str):
-    # scipy.optimize (~0.45 s to import) is bound as the global `optimize` at its first read, so only
-    # commands that fit a classifier pay for it; train_logreg calls whatever that global then holds.
-    if name != "optimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global optimize
-    from scipy import optimize
-    return optimize
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,7 @@ def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_clas
 
 
 def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> ClassifierModel:
-    """L-BFGS fit to gradient tolerance 1e-5 or 500 iterations from a zero start."""
+    """L-BFGS fit (`core.lbfgs`) to gradient tolerance 1e-5 or 500 iterations from a zero start."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n_classes = int(y.max()) + 1
@@ -131,23 +122,12 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
     if not np.all(np.isfinite(x)):
         raise EvaluationError("non-finite feature values")
     theta0 = np.zeros(n_classes * x.shape[1] + n_classes)
-    optimizer = globals().get("optimize") or __getattr__("optimize")  # scipy.optimize, or a stand-in
-    result = optimizer.minimize(
-        logreg_loss_and_grad,
-        theta0,
-        args=(x, y, n_classes, c),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-16},
-    )
+    result = optimize.minimize(logreg_loss_and_grad, theta0, args=(x, y, n_classes, c), maxiter=MAX_ITER,
+                               gtol=GRAD_TOL)
     if not np.isfinite(result.fun):
         raise EvaluationError("logistic regression loss became non-finite")
-    theta = result.x
-    dim = x.shape[1]
-    return ClassifierModel(
-        weights=theta[: n_classes * dim].reshape(n_classes, dim),
-        intercepts=theta[n_classes * dim :],
-    )
+    split = n_classes * x.shape[1]
+    return ClassifierModel(weights=result.x[:split].reshape(n_classes, -1), intercepts=result.x[split:])
 
 
 def predict(model: ClassifierModel, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -119,6 +114,15 @@ def test_logreg_objective_nonincreasing_over_iterations():
         options={"maxiter": 100},
     )
     assert all(a >= b - 1e-9 for a, b in zip(losses, losses[1:]))
+
+    # core.lbfgs keeps no history; the same fit stopped after k iterations gives its k-th iterate.
+    from core import lbfgs
+
+    full = lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=100)
+    losses = [lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=k).fun
+              for k in range(full.nit + 1)]
+    assert full.success and losses[-1] == full.fun
+    assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
 def test_predict_constant_bias():
@@ -271,41 +275,43 @@ def test_train_logreg_bit_identical_to_reference_fit(monkeypatch):
     assert np.array_equal(fast.intercepts, reference.intercepts)
 
 
-def test_optimize_is_scipy_optimize_at_first_read():
-    # A fresh interpreter, so that this read is the first: core.evaluation imports no optimizer itself.
-    probe = (
-        "import sys, core.evaluation as ev\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
-        "first = ev.optimize\n"
-        "import scipy.optimize\n"
-        "print(first is scipy.optimize, vars(ev)['optimize'] is first, ev.optimize is first)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True", "True"]
+def test_optimize_binding_returns_what_the_tracer_reads():
+    # perfbench/tracing.py swaps the module attribute core.evaluation.optimize for a proxy that wraps
+    # its `minimize` and reads `nit` (an int) and `success` (a bool) from each result.
+    from core import evaluation
+
+    assert callable(vars(evaluation)["optimize"].minimize)
+    x, labels = gaussian_blobs(15, [(-2.0, 0.0, 1.0), (2.0, 1.0, 0.0), (0.0, 3.0, -1.0)], 1.2, seed=12)
+    result = evaluation.optimize.minimize(logreg_loss_and_grad, np.zeros(3 * 3 + 3), args=(x, labels.ids, 3, 1.0),
+                                          maxiter=evaluation.MAX_ITER, gtol=evaluation.GRAD_TOL)
+    assert type(result.nit) is int and type(result.success) is bool and result.success
+    assert result.fun == logreg_loss_and_grad(result.x, x, labels.ids, 3, 1.0)[0]
+    assert result.nfev >= result.nit + 1
 
 
 def test_train_logreg_calls_the_optimizer_bound_to_the_module(monkeypatch):
-    # Tracing swaps core.evaluation.optimize for a stand-in and relies on train_logreg calling it.
-    import scipy.optimize
-
+    # Tracing swaps core.evaluation.optimize for a stand-in and relies on train_logreg calling it, at
+    # call time, with the loss bound to the module at that time.
     from core import evaluation
 
-    assert evaluation.optimize is scipy.optimize
+    original = evaluation.optimize
     x, labels = gaussian_blobs(15, [(-2.0, 0.0, 1.0), (2.0, 1.0, 0.0), (0.0, 3.0, -1.0)], 1.2, seed=12)
     expected = train_logreg(x, labels.ids)
-    methods = []
+    losses = []
+
+    def traced_loss(*args):
+        return logreg_loss_and_grad(*args)
 
     class StandIn:
-        def minimize(self, *args, **kwargs):
-            methods.append(kwargs["method"])
-            return scipy.optimize.minimize(*args, **kwargs)
+        def minimize(self, fun, *args, **kwargs):
+            losses.append(fun)
+            return original.minimize(fun, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "optimize", StandIn())
+    monkeypatch.setattr(evaluation, "logreg_loss_and_grad", traced_loss)
     fitted = train_logreg(x, labels.ids)
     monkeypatch.undo()
-    assert methods == ["L-BFGS-B"]
+    assert losses == [traced_loss]
     assert fitted.weights.tobytes() == expected.weights.tobytes()
     assert fitted.intercepts.tobytes() == expected.intercepts.tobytes()
-    assert evaluation.optimize is scipy.optimize
+    assert evaluation.optimize is original

@@ -1,8 +1,8 @@
 """Which scipy parts each command loads, each checked in a fresh interpreter.
 
-Importing ``scipy.optimize`` takes about 0.45 s, so a command loads only the scipy parts it runs:
-``scipy.optimize`` at the first classifier fit and ``scipy.special`` when ranking. No compressor
-kind loads any: ``core compress`` and the transform of a loaded state run on numpy alone.
+A command loads only the scipy parts it runs: ``scipy.special`` when ranking, and nothing else.
+No compressor kind loads any: ``core compress`` and the transform of a loaded state run on numpy
+alone, and ``core run`` and ``core evaluate`` fit their classifiers with ``core.lbfgs``.
 """
 
 import json
@@ -89,6 +89,21 @@ def test_compress_loads_no_scipy(tiny, kind):
     assert (tiny / "steps" / "state_1.npz").exists()
     if kind == "sparse-projection":
         assert _scipy_loaded(tiny, "steps/state_1.npz", probe=APPLY_PROBE) == set()
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_run_and_evaluate_load_no_scipy(tiny, command):
+    if command == "run":
+        (tiny / "cfg.json").write_text(json.dumps({
+            "manifest": "data/manifest.json", "specs": [{"kind": "random-subspace", "seed": 1}], "folds": 2,
+            "repeats": 1, "out_dir": "results"}))
+        argv, written = ["run", "--config", "cfg.json"], tiny / "results" / "results.json"
+    else:
+        argv = ["evaluate", "--input", "data/tiny.core", "--labels", "data/tiny.labels", "--baseline",
+                "data/tiny.core", "--folds", "2", "--repeats", "1", "--out", "record.json"]
+        written = tiny / "record.json"
+    assert _scipy_loaded(tiny, *argv) == set()
+    assert written.exists()
 
 
 def _subpackages(loaded: set[str]) -> set[str]:
