@@ -24,7 +24,7 @@ class Result(NamedTuple):
     success: bool
 
 
-def minimize(fun, x0: np.ndarray, args: tuple = (), maxiter: int = 500, gtol: float = 1e-5) -> Result:
+def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, gtol: float) -> Result:
     """Minimize ``fun(x, *args) -> (f, gradient)`` from ``x0``; f decreases at every iteration.
 
     Stops with ``success`` once every gradient entry is within ``gtol`` of 0, and without it

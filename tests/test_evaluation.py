@@ -3,6 +3,7 @@ import pytest
 
 from core.errors import EvaluationError
 from core.evaluation import (
+    GRAD_TOL,
     epsilon_f1,
     evaluate_matrices,
     evaluate_representation,
@@ -118,8 +119,9 @@ def test_logreg_objective_nonincreasing_over_iterations():
     # core.lbfgs keeps no history; the same fit stopped after k iterations gives its k-th iterate.
     from core import lbfgs
 
-    full = lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=100)
-    losses = [lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=k).fun
+    full = lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=100, gtol=GRAD_TOL)
+    losses = [lbfgs.minimize(logreg_loss_and_grad, theta0, args=(x, y, 2, 1.0), maxiter=k,
+                             gtol=GRAD_TOL).fun
               for k in range(full.nit + 1)]
     assert full.success and losses[-1] == full.fun
     assert all(a > b for a, b in zip(losses, losses[1:]))

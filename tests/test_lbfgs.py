@@ -22,7 +22,8 @@ def multinomial(k: int, dim: int, n: int, seed: int):
 
 
 def fit(x, y, k, c=1.0, maxiter=MAX_ITER):
-    return lbfgs.minimize(logreg_loss_and_grad, np.zeros(k * x.shape[1] + k), args=(x, y, k, c), maxiter=maxiter)
+    return lbfgs.minimize(logreg_loss_and_grad, np.zeros(k * x.shape[1] + k), args=(x, y, k, c), maxiter=maxiter,
+                           gtol=GRAD_TOL)
 
 
 def predictions(theta, x, k):
@@ -59,7 +60,7 @@ def test_loss_decreases_at_every_iteration(k, dim):
 def test_start_at_the_optimum_takes_no_iteration():
     x, y = multinomial(3, 6, 300, seed=1)
     optimum = fit(x, y, 3).x
-    again = lbfgs.minimize(logreg_loss_and_grad, optimum, args=(x, y, 3, 1.0))
+    again = lbfgs.minimize(logreg_loss_and_grad, optimum, args=(x, y, 3, 1.0), maxiter=MAX_ITER, gtol=GRAD_TOL)
     assert (again.nit, again.nfev, again.success) == (0, 1, True)
     assert again.x.tobytes() == optimum.tobytes()
 
