@@ -75,46 +75,41 @@ def fold_plan(labels: Labels, k: int, seed: int, repeats: int) -> dict[int, np.n
 def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float):
     """Multinomial cross-entropy (summed) plus ||W||^2 / (2C); intercepts unpenalized.
 
-    Bit-exactness contract: the loss and gradient are bit-for-bit those of the
-    textbook formula (``logits = x @ w.T + b``, shift by the row max,
-    ``exp / exp.sum(axis=1)``, subtract the one-hot labels, ``probs.T @ x + w / c``,
-    ``probs.sum(axis=0)``), so a faster kernel leaves every fitted model and
-    score unchanged. Floating-point sums depend on their order, so these
-    operations keep their exact form and operand layout: the matmuls
-    ``x @ w.T`` and ``probs.T @ x`` (C-ordered ``probs``), the row sum
-    ``exp.sum(axis=1)``, ``np.sum(w * w)`` and every sum over the n rows.
-    Elementwise steps (add, subtract, exp, divide, one-hot subtract) round
-    each element once, whatever the loop order or buffer. The row max is
-    taken on a Fortran-ordered copy, which is fast for a few classes and
-    exact, because a maximum returns one of its inputs unchanged; the only
-    order-dependent case, the sign of a zero maximum, shifts nothing but the
-    sign of a zero logit, and exp maps both zeros to 1.
+    ``theta`` is row-major ``W`` (n_classes x dim), then ``b``. The logits are laid out class
+    by document, ``(n_classes, n)``, so each per-class step runs over one contiguous row of n.
+    Bit-exactness contract: loss and gradient are bit-for-bit the class-major textbook formula
+    (``logits = w @ x.T + b[:, None]``, shift by the column max, ``exp / exp.sum(axis=0)``,
+    subtract the one-hot labels, ``probs @ x + w / c``, ``probs.sum(axis=1)``) on a C-ordered
+    ``x``, as ``train_logreg`` passes. Sums depend on their order, so the matmuls, the sum over
+    classes, ``np.sum(w * w)`` and every sum over the n documents keep that form and layout;
+    elementwise steps round each element once, whatever the buffer. The row-major formula
+    (``x @ w.T``, sums along rows) sums in another order and differs in the last bits.
     """
     n, dim = x.shape
     split = n_classes * dim
     w = theta[:split].reshape(n_classes, dim)
-    logits = x @ w.T
-    logits += theta[split:]
-    logits -= np.asfortranarray(logits).max(axis=1)[:, None]
-    target = np.arange(0, n * n_classes, n_classes)  # flat index of (i, y[i])
-    target += y
+    logits = w @ x.T
+    logits += theta[split:, None]
+    logits -= logits.max(axis=0)
+    target = y * n + np.arange(n)  # flat index of (y[i], i)
     target_logits = logits.ravel()[target]
     probs = np.exp(logits, out=logits)
-    denom = probs.sum(axis=1)
+    denom = probs.sum(axis=0)
     loss = float(np.sum(np.log(denom) - target_logits) + np.sum(w * w) / (2.0 * c))
-    probs /= denom[:, None]
+    probs /= denom
     probs.ravel()[target] -= 1.0
     grad = np.empty_like(theta)
     grad_w = grad[:split].reshape(n_classes, dim)
-    np.matmul(probs.T, x, out=grad_w)
+    np.matmul(probs, x, out=grad_w)
     grad_w += w / c
-    np.sum(probs, axis=0, out=grad[split:])
+    np.sum(probs, axis=1, out=grad[split:])
     return loss, grad
 
 
 def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> ClassifierModel:
-    """L-BFGS fit (`core.lbfgs`) to gradient tolerance 1e-5 or 500 iterations from a zero start."""
-    x = np.asarray(x, dtype=np.float64)
+    """L-BFGS fit (`core.lbfgs`) from a zero start to gradient tolerance 1e-5, 500 iterations or a
+    line search that finds no decrease. ``x`` is copied to C order, so no layout changes the fit's bits."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n_classes = int(y.max()) + 1
     if n_classes < 2:

@@ -228,7 +228,25 @@ def test_evaluate_matrices_per_repeat():
 
 
 def reference_loss_and_grad(theta, x, y, n_classes, c):
-    # The textbook kernel, kept as the oracle for the bit-exactness contract.
+    # The class-major textbook kernel, kept as the oracle for the bit-exactness contract.
+    n, dim = x.shape
+    w = theta[: n_classes * dim].reshape(n_classes, dim)
+    b = theta[n_classes * dim :]
+    logits = w @ x.T + b[:, None]
+    logits -= logits.max(axis=0, keepdims=True)
+    exp = np.exp(logits)
+    denom = exp.sum(axis=0)
+    loss = float(np.sum(np.log(denom) - logits[y, np.arange(n)]) + np.sum(w * w) / (2.0 * c))
+    probs = exp / denom
+    probs[y, np.arange(n)] -= 1.0
+    grad_w = probs @ x + w / c
+    grad_b = probs.sum(axis=1)
+    return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+
+def row_major_loss_and_grad(theta, x, y, n_classes, c):
+    # The same formula with the logits laid out document by class: the same math, summed in
+    # another order.
     n, dim = x.shape
     w = theta[: n_classes * dim].reshape(n_classes, dim)
     b = theta[n_classes * dim :]
@@ -244,10 +262,7 @@ def reference_loss_and_grad(theta, x, y, n_classes, c):
     return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
-@pytest.mark.parametrize("n_classes", [2, 3, 4, 8, 13])
-@pytest.mark.parametrize("dim", [1, 6, 64])
-@pytest.mark.parametrize("scale", ["small", "large"])
-def test_logreg_kernel_bit_identical_to_reference(n_classes, dim, scale):
+def kernel_case(n_classes, dim, scale):
     rng = np.random.default_rng(100 * n_classes + dim)
     n = 97
     x = rng.standard_normal((n, dim))
@@ -257,12 +272,32 @@ def test_logreg_kernel_bit_identical_to_reference(n_classes, dim, scale):
         # Logits up to about +-700: unshifted, exp would overflow.
         w = theta[: n_classes * dim].reshape(n_classes, dim)
         theta *= 700.0 / np.abs(x @ w.T + theta[n_classes * dim :]).max()
+    return theta, x, y
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8, 13])
+@pytest.mark.parametrize("dim", [1, 6, 64])
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_logreg_kernel_bit_identical_to_reference(n_classes, dim, scale):
+    theta, x, y = kernel_case(n_classes, dim, scale)
     for c in (1.0, 0.01):
         loss, grad = logreg_loss_and_grad(theta, x, y, n_classes, c)
         ref_loss, ref_grad = reference_loss_and_grad(theta, x, y, n_classes, c)
         assert np.isfinite(loss)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4, 8, 13])
+@pytest.mark.parametrize("dim", [1, 6, 64])
+@pytest.mark.parametrize("scale", ["small", "large"])
+def test_logreg_kernel_within_rounding_of_row_major_formula(n_classes, dim, scale):
+    theta, x, y = kernel_case(n_classes, dim, scale)
+    for c in (1.0, 0.01):
+        loss, grad = logreg_loss_and_grad(theta, x, y, n_classes, c)
+        row_loss, row_grad = row_major_loss_and_grad(theta, x, y, n_classes, c)
+        assert abs(loss - row_loss) <= 1e-13 * abs(row_loss)
+        assert np.abs(grad - row_grad).max() <= 1e-13 * np.abs(row_grad).max()
 
 
 def test_train_logreg_bit_identical_to_reference_fit(monkeypatch):
@@ -275,6 +310,17 @@ def test_train_logreg_bit_identical_to_reference_fit(monkeypatch):
     reference = train_logreg(x, labels.ids)
     assert np.array_equal(fast.weights, reference.weights)
     assert np.array_equal(fast.intercepts, reference.intercepts)
+
+
+def test_train_logreg_same_bits_for_any_memory_layout():
+    rng = np.random.default_rng(15)
+    big = rng.standard_normal((120, 128))
+    y = np.arange(120) % 4
+    c_order = np.ascontiguousarray(big[:, ::2])
+    fitted = [train_logreg(view, y) for view in (c_order, np.asfortranarray(c_order), big[:, ::2])]
+    for other in fitted[1:]:
+        assert other.weights.tobytes() == fitted[0].weights.tobytes()
+        assert other.intercepts.tobytes() == fitted[0].intercepts.tobytes()
 
 
 def test_optimize_binding_returns_what_the_tracer_reads():
