@@ -108,7 +108,12 @@ def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_clas
 
 def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> ClassifierModel:
     """L-BFGS fit (`core.lbfgs`) from a zero start to gradient tolerance 1e-5, 500 iterations or a
-    line search that finds no decrease. ``x`` is copied to C order, so no layout changes the fit's bits."""
+    line search that finds no decrease. ``x`` is copied to C order, so no layout changes the fit's bits.
+
+    The run is preconditioned by the Hessian diagonal at the zero start, where every class
+    probability is 1/K: with q = (1/K)(1 - 1/K), ``q * sum_i x_ij^2 + 1/c`` for ``W[k, j]`` and
+    ``q * n`` for ``b[k]``. The stop test reads the unscaled gradient.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     n_classes = int(y.max()) + 1
@@ -116,9 +121,12 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
         raise EvaluationError("need at least 2 classes to train a classifier")
     if not np.all(np.isfinite(x)):
         raise EvaluationError("non-finite feature values")
+    q = (1.0 / n_classes) * (1.0 - 1.0 / n_classes)
+    diag = np.concatenate([np.tile(q * np.einsum("ij,ij->j", x, x) + 1.0 / c, n_classes),
+                           np.full(n_classes, q * x.shape[0])])
     theta0 = np.zeros(n_classes * x.shape[1] + n_classes)
     result = optimize.minimize(logreg_loss_and_grad, theta0, args=(x, y, n_classes, c), maxiter=MAX_ITER,
-                               gtol=GRAD_TOL)
+                               gtol=GRAD_TOL, scale=1.0 / np.sqrt(diag))
     if not np.isfinite(result.fun):
         raise EvaluationError("logistic regression loss became non-finite")
     split = n_classes * x.shape[1]

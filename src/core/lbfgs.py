@@ -2,6 +2,8 @@
 
 The objective is smooth and convex, so sufficient decrease is enough: no Wolfe test, no bounds.
 A pair with ``s.y <= eps * y.y`` is not stored, so every direction is a descent direction.
+An optional diagonal ``scale`` preconditions the run: it iterates on ``u = x / scale``, while
+the stop test still reads the gradient in ``x`` itself.
 """
 
 from __future__ import annotations
@@ -24,35 +26,40 @@ class Result(NamedTuple):
     success: bool
 
 
-def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, gtol: float) -> Result:
+def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, gtol: float, scale=1.0) -> Result:
     """Minimize ``fun(x, *args) -> (f, gradient)`` from ``x0``; f decreases at every iteration.
 
-    Stops with ``success`` once every gradient entry is within ``gtol`` of 0, and without it
-    after ``maxiter`` iterations or when a line search finds no decrease in ``MAX_TRIALS`` trials.
-    The first trial step is ``1 / ||g||`` on the first iteration and 1 afterwards, as in L-BFGS-B.
+    Iterates on ``u = x / scale`` (a scalar or one positive entry per coordinate), so the gradient
+    in u is ``scale * gradient`` and the start inverse Hessian is ``gamma * diag(scale ** 2)`` in x.
+    Stops with ``success`` once every entry of the gradient in x is within ``gtol`` of 0 (a
+    non-finite entry never is), and without it after ``maxiter`` iterations or when a line search
+    finds no decrease in ``MAX_TRIALS`` trials. The first trial step is 1 over the norm of the
+    gradient in u on the first iteration and 1 afterwards, as in L-BFGS-B. With ``scale = 1.0``
+    every product by it is exact, so an unscaled run keeps the bits of plain L-BFGS.
     """
-    x = np.array(x0, dtype=np.float64)
-    f, g = fun(x, *args)
+    u = np.array(x0, dtype=np.float64) / scale
+    f, g = fun(scale * u, *args)
+    gu = scale * g
     nfev, nit, stored, used, gamma, m = 1, 0, 0, 0, 1.0, MEMORY
     # The i-th stored pair sits at rows i % m and i % m + m, so the `used` newest are one slice.
-    s_rows, y_rows = np.zeros((2 * m, x.size)), np.zeros((2 * m, x.size))
+    s_rows, y_rows = np.zeros((2 * m, u.size)), np.zeros((2 * m, u.size))
     r_inv, r_diag = np.zeros((m, m)), np.zeros(m)  # of R = triu(S Y^T) over the pairs in use
-    while abs(g).max() > gtol:
+    while not (abs(g).max() <= gtol):
         if nit == maxiter:
-            return Result(x, f, nit, nfev, False)
-        # -H g by the two-loop recursion in matrix form (Byrd, Nocedal & Schnabel 1994):
-        # a = R^-1 S g, q = gamma (g - Y^T a), H g = q + S^T R^-T (diag(R) a - Y q).
+            return Result(scale * u, f, nit, nfev, False)
+        # -H gu by the two-loop recursion in matrix form (Byrd, Nocedal & Schnabel 1994):
+        # a = R^-1 S gu, q = gamma (gu - Y^T a), H gu = q + S^T R^-T (diag(R) a - Y q).
         lo = (stored - used) % m
         s_in, y_in, inv = s_rows[lo:lo + used], y_rows[lo:lo + used], r_inv[:used, :used]
-        a = inv @ (s_in @ g)
-        q = gamma * (g - a @ y_in)
+        a = inv @ (s_in @ gu)
+        q = gamma * (gu - a @ y_in)
         d = -(q + ((r_diag[:used] * a - y_in @ q) @ inv) @ s_in)
-        gd = float(g @ d)
-        t = 1.0 / float(np.linalg.norm(g)) if nit == 0 else 1.0
+        gd = float(gu @ d)
+        t = 1.0 / float(np.linalg.norm(gu)) if nit == 0 else 1.0
         for _ in range(MAX_TRIALS):
             s = t * d
-            x_new = x + s
-            f_new, g_new = fun(x_new, *args)
+            u_new = u + s
+            f_new, g_new = fun(scale * u_new, *args)
             nfev += 1
             if f_new < f and f_new <= f + ARMIJO_C1 * t * gd:
                 break
@@ -60,8 +67,9 @@ def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, gtol: float
             curvature = f_new - f - t * gd
             t = max(0.1 * t, min(0.5 * t, -gd * t * t / (2.0 * curvature))) if curvature > 0 else 0.1 * t
         else:
-            return Result(x, f, nit, nfev, False)
-        y = g_new - g
+            return Result(scale * u, f, nit, nfev, False)
+        gu_new = scale * g_new
+        y = gu_new - gu
         s_dot_y, y_dot_y = float(s @ y), float(y @ y)
         if s_dot_y > EPS * y_dot_y:
             col = s_in @ y  # R's new last column, above its diagonal entry s.y
@@ -73,6 +81,6 @@ def minimize(fun, x0: np.ndarray, args: tuple = (), *, maxiter: int, gtol: float
             s_rows[k] = s_rows[k + m] = s
             y_rows[k] = y_rows[k + m] = y
             gamma, stored, used = s_dot_y / y_dot_y, stored + 1, used + 1
-        x, f, g = x_new, f_new, g_new
+        u, f, g, gu = u_new, f_new, g_new, gu_new
         nit += 1
-    return Result(x, f, nit, nfev, True)
+    return Result(scale * u, f, nit, nfev, True)

@@ -363,3 +363,35 @@ def test_train_logreg_calls_the_optimizer_bound_to_the_module(monkeypatch):
     assert fitted.weights.tobytes() == expected.weights.tobytes()
     assert fitted.intercepts.tobytes() == expected.intercepts.tobytes()
     assert evaluation.optimize is original
+
+
+def test_train_logreg_converges_on_narrow_sparse_projection_steps(monkeypatch):
+    # A sparse projection keeps row norms, so its column std grows about sqrt(2) per step, and at the
+    # narrow steps the data term of the Hessian outweighs the 1/C term by orders of magnitude.
+    # Unpreconditioned, these three fits stop at the 500-iteration cap with max |grad| 1e-3 to 0.3;
+    # scaled by the Hessian diagonal at the zero start, each converges.
+    from core import evaluation
+    from core.compressors import CompressorSpec
+    from core.experiment import make_synthetic_dataset
+    from core.pipeline import compress_recursive, dimension_schedule
+
+    original = evaluation.optimize
+    results = []
+
+    class StandIn:
+        def minimize(self, *args, **kwargs):
+            results.append(original.minimize(*args, **kwargs))
+            return results[-1]
+
+    e, labels = make_synthetic_dataset(1500, 8, 32, 384, seed=1)
+    run = compress_recursive(e, CompressorSpec("sparse-projection", seed=1), dimension_schedule(384, 2))
+    monkeypatch.setattr(evaluation, "optimize", StandIn())
+    for step in run.steps:
+        if step.dim in (24, 12, 6):
+            x, y = step.output[:1000], labels.ids[:1000]
+            train_logreg(x, y)
+            result = results[-1]
+            assert result.success, (step.dim, result.nit)
+            gradient = logreg_loss_and_grad(result.x, np.ascontiguousarray(x, dtype=np.float64), y, 8, 1.0)[1]
+            assert np.abs(gradient).max() <= GRAD_TOL
+    assert len(results) == 3

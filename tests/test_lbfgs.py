@@ -105,3 +105,43 @@ def test_two_runs_give_the_same_bytes():
     first, second = fit(x, y, 8), fit(x, y, 8)
     assert first.x.tobytes() == second.x.tobytes()
     assert (first.fun, first.nit, first.nfev, first.success) == (second.fun, second.nit, second.nfev, second.success)
+
+
+def test_unit_scale_gives_the_bytes_of_the_default():
+    fun, x0, args = _logreg()
+    default = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=GRAD_TOL)
+    ones = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=GRAD_TOL, scale=np.ones(x0.size))
+    assert ones.x.tobytes() == default.x.tobytes()
+    assert (ones.fun, ones.nit, ones.nfev, ones.success) == (default.fun, default.nit, default.nfev, default.success)
+
+
+def test_scaling_by_the_curvature_converges_in_a_few_iterations():
+    # 0.5 sum_i c_i x_i^2 - b.x with curvatures c_i spread over 1e-3 to 1e3.
+    curvature = np.logspace(-3, 3, 30)
+    b = np.random.default_rng(30).standard_normal(30)
+
+    def fun(x):
+        return float(0.5 * x @ (curvature * x) - b @ x), curvature * x - b
+
+    plain = lbfgs.minimize(fun, np.zeros(30), maxiter=MAX_ITER, gtol=1e-6)
+    scaled = lbfgs.minimize(fun, np.zeros(30), maxiter=MAX_ITER, gtol=1e-6, scale=curvature ** -0.5)
+    assert scaled.success and scaled.nit <= 3
+    assert plain.nit >= 10 * scaled.nit
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3, "per-coordinate"])
+def test_success_means_the_gradient_in_x_is_within_gtol(scale):
+    # A stop test on the gradient in u = x / scale would end a run at scale 1e-3 too early.
+    fun, x0, args = _logreg()
+    if scale == "per-coordinate":
+        scale = 1e-3 * np.random.default_rng(0).uniform(0.5, 2.0, x0.size)
+    result = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=GRAD_TOL, scale=scale)
+    assert result.success
+    assert np.abs(fun(result.x, *args)[1]).max() <= GRAD_TOL
+    assert result.fun == fun(result.x, *args)[0]
+
+
+def test_a_nan_gradient_never_reads_as_converged():
+    result = lbfgs.minimize(lambda x: (float(x @ x), np.full_like(x, np.nan)), np.ones(3), maxiter=10, gtol=1e-5)
+    assert not result.success
+    assert result.nit == 0
