@@ -7,7 +7,10 @@ by sha256. The flow covers ``synth``; ``run`` with every compressor kind in both
 modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
 ``--threads`` 1 and 2, and in direct mode alone; ``run`` at ``repeats`` 2 with ``sparse-projection``,
 ``svd-exact``, ``cluster-mean`` and ``neural-small`` in both modes, so that a change of repeat order or
-fold plan shows; ``stats`` and ``report`` at alpha 0.05 and 0.1;
+fold plan shows; ``run`` of ``sparse-projection`` in both modes at ``repeats`` 2 on a 2000x384 dataset
+of 8 classes, whose 3-fold training sets of 1,333 rows make the narrow steps' classifier fits
+ill-conditioned, so that a change of the classifier solver that moves a prediction shows; ``stats`` and
+``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus seventeen commands that
 must fail: ``schedule --kappa 1``, ``report --alpha 2``, ``report --margin -1``,
@@ -79,6 +82,8 @@ REPEAT_KINDS = ("sparse-projection", "svd-exact", "cluster-mean", "neural-small"
 # (name, docs, classes, rank, seed); every dataset has 32 columns.
 DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
+# (name, docs, classes, rank, dim, seed) of the wide dataset: eval-wide's shape, down to width 2.
+WIDE = ("wide", 2000, 8, 32, 384, 1)
 # (name, representation, dim, seed) of the two-representation flow; an 8-column dataset has 2 steps.
 REP_DATASETS = (("p", "bert", 16, 5), ("q", "bert", 16, 6), ("r", "doc2vec", 8, 7), ("s", "doc2vec", 8, 8))
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -106,6 +111,10 @@ def flow_commands() -> list[list[str]]:
         cmds.append(["run", "--config", f"cfg-{name}.json", "--out", f"results_{name}"])
     cmds.append(["run", "--config", "cfg-dir-rec.json", "--threads", "2", "--out", "results_dir-rec_t2"])
     cmds.append(["run", "--config", "cfg-r2.json", "--out", "results_r2"])
+    name, docs, classes, rank, dim, seed = WIDE
+    cmds.append(["synth", "--docs", str(docs), "--classes", str(classes), "--rank", str(rank), "--dim", str(dim),
+                 "--seed", str(seed), "--out", "wide", "--name", name])
+    cmds.append(["run", "--config", "cfg-wide.json", "--out", "results_wide"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],
@@ -196,6 +205,8 @@ def run_flow(out: Path) -> None:
         Path(f"cfg-{name}.json").write_text(json.dumps(dict(cfg, modes=modes)))
     Path("cfg-r2.json").write_text(json.dumps(dict(cfg, repeats=2, specs=[
         _spec(kind, KINDS.index(kind) + 1) for kind in REPEAT_KINDS])))
+    Path("cfg-wide.json").write_text(json.dumps(dict(cfg, manifest="wide/manifest.json", folds=3, repeats=2,
+                                                     specs=[_spec("sparse-projection", 1)])))
     Path("bad", "nan-tol.json").write_text(json.dumps({"kind": "cluster-mean", "params": {"tol": float("nan")}}))
     Path("bad", "nan-margin-cfg.json").write_text(json.dumps(dict(cfg, margin=float("nan"), out_dir="results-nan")))
     # The synthesized files with their representations: ``synth`` names every dataset "synthetic".

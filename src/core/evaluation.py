@@ -14,6 +14,7 @@ from .pipeline import mix64
 DEFAULT_C = 1.0
 MAX_ITER = 500
 GRAD_TOL = 1e-5
+NEWTON_MAX_PARAMS = 300  # a fit with at most this many parameters finishes with Newton steps
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,52 @@ def logreg_loss_and_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_clas
     return loss, grad
 
 
+def logreg_hessian(theta: np.ndarray, x: np.ndarray, y: np.ndarray, n_classes: int, c: float) -> np.ndarray:
+    """Exact Hessian of ``logreg_loss_and_grad`` in ``theta``'s layout, plus ``n / K`` on every
+    entry of the intercept block.
+
+    With x~ = [x, 1] and Z the columns ``p_k * x`` of each class's weights, then ``p_k`` of each
+    intercept: ``H = blockdiag_k(x~^T (p_k * x~)) - Z^T Z`` plus ``1/c`` on the weight diagonal.
+    The intercepts' null direction ``b + t * 1`` leaves the loss unchanged, so H is singular along
+    it; the added ``(n / K) 1 1^T`` gives it curvature. The gradient is orthogonal to that
+    direction, so a Newton step does not change. ``y`` is unused: the Hessian does not depend on
+    the labels.
+    """
+    n, dim = x.shape
+    split = n_classes * dim
+    probs = theta[:split].reshape(n_classes, dim) @ x.T
+    probs += theta[split:, None]
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    zt = np.empty((theta.size, n))  # Z^T, filled one class at a time: no (K, dim, n) temporary
+    for k in range(n_classes):
+        np.multiply(x.T, probs[k], out=zt[k * dim:(k + 1) * dim])
+    zt[split:] = probs
+    h = zt @ zt.T
+    np.negative(h, out=h)
+    xpx = zt[:split] @ x  # row block k is x^T (p_k * x)
+    cross = zt[:split].sum(axis=1)  # x^T p_k, class by class
+    for k in range(n_classes):
+        block = slice(k * dim, (k + 1) * dim)
+        h[block, block] += xpx[block]
+        h[block, split + k] += cross[block]
+        h[split + k, block] += cross[block]
+    h[split:, split:] += np.diag(probs.sum(axis=1)) + n / n_classes
+    h.flat[:split * (theta.size + 1):theta.size + 1] += 1.0 / c
+    return h
+
+
 def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> ClassifierModel:
-    """L-BFGS fit (`core.lbfgs`) from a zero start to gradient tolerance 1e-5, 500 iterations or a
-    line search that finds no decrease. ``x`` is copied to C order, so no layout changes the fit's bits.
+    """L-BFGS fit (`core.lbfgs`) from a zero start to gradient tolerance 1e-5. ``x`` is copied to C
+    order, so no layout changes the fit's bits.
 
     The run is preconditioned by the Hessian diagonal at the zero start, where every class
     probability is 1/K: with q = (1/K)(1 - 1/K), ``q * sum_i x_ij^2 + 1/c`` for ``W[k, j]`` and
-    ``q * n`` for ``b[k]``. The stop test reads the unscaled gradient.
+    ``q * n`` for ``b[k]``. The stop test reads the unscaled gradient. A fit with at most
+    ``NEWTON_MAX_PARAMS`` parameters passes ``logreg_hessian``, so after ``core.lbfgs.NEWTON_AFTER``
+    iterations it goes on with Newton steps. A fit that ends unconverged (500 iterations, or no
+    acceptable step) raises ``EvaluationError``: its score would rest on weights short of the optimum.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -125,10 +165,15 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
     diag = np.concatenate([np.tile(q * np.einsum("ij,ij->j", x, x) + 1.0 / c, n_classes),
                            np.full(n_classes, q * x.shape[0])])
     theta0 = np.zeros(n_classes * x.shape[1] + n_classes)
+    hess = logreg_hessian if theta0.size <= NEWTON_MAX_PARAMS else None
     result = optimize.minimize(logreg_loss_and_grad, theta0, args=(x, y, n_classes, c), maxiter=MAX_ITER,
-                               gtol=GRAD_TOL, scale=1.0 / np.sqrt(diag))
+                               gtol=GRAD_TOL, scale=1.0 / np.sqrt(diag), hess=hess)
     if not np.isfinite(result.fun):
         raise EvaluationError("logistic regression loss became non-finite")
+    if not result.success:
+        grad = logreg_loss_and_grad(result.x, x, y, n_classes, c)[1]
+        raise EvaluationError(f"logistic regression did not converge at width {x.shape[1]}: "
+                              f"{result.nit} iterations, max |grad| {np.abs(grad).max():.3g}")
     split = n_classes * x.shape[1]
     return ClassifierModel(weights=result.x[:split].reshape(n_classes, -1), intercepts=result.x[split:])
 

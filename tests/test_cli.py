@@ -227,6 +227,30 @@ def test_compress_numeric_failure_exit_one(synth_dir, tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == "error: SVD did not converge\n"
 
 
+def test_run_records_an_unconverged_classifier_fit_as_a_task_failure(synth_dir, tmp_path, monkeypatch, capsys):
+    # A stand-in solver reports every fit on the 4-column step as unconverged: that task fails with
+    # exit 1, and the baseline and the other steps' fits are unaffected.
+    from core import evaluation
+
+    solver = evaluation.optimize
+
+    class StandIn:
+        def minimize(self, fun, x0, args, **kwargs):
+            result = solver.minimize(fun, x0, args, **kwargs)
+            return result._replace(success=False) if args[0].shape[1] == 4 else result
+
+    monkeypatch.setattr(evaluation, "optimize", StandIn())
+    cfg = {"manifest": str(synth_dir / "manifest.json"), "specs": [{"kind": "svd", "seed": 1}], "kappa": 2,
+           "modes": ["recursive"], "folds": 3, "repeats": 1, "out_dir": str(tmp_path / "results")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 1
+    results = json.loads((tmp_path / "results" / "results.json").read_text())
+    [error] = results["meta"]["errors"]
+    assert error.startswith("task tiny/svd/recursive: logistic regression did not converge at width 4: ")
+    assert error in capsys.readouterr().err
+    assert [r["compressor"] for r in results["records"]] == ["baseline"]
+
+
 BAD_SPECS = [
     {"kind": "umap"},
     {"kind": "svd", "params": {"banana": 1}},

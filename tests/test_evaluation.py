@@ -395,3 +395,86 @@ def test_train_logreg_converges_on_narrow_sparse_projection_steps(monkeypatch):
             gradient = logreg_loss_and_grad(result.x, np.ascontiguousarray(x, dtype=np.float64), y, 8, 1.0)[1]
             assert np.abs(gradient).max() <= GRAD_TOL
     assert len(results) == 3
+
+
+def _recording_optimizer(monkeypatch, replace=None):
+    """Swap ``core.evaluation.optimize`` for a stand-in; return the list of (kwargs, result) of its calls.
+
+    ``replace(result)``, if given, is what the stand-in returns in place of the solver's result."""
+    from core import evaluation
+
+    original, calls = evaluation.optimize, []
+
+    class StandIn:
+        def minimize(self, *args, **kwargs):
+            calls.append((kwargs, original.minimize(*args, **kwargs)))
+            return calls[-1][1] if replace is None else replace(calls[-1][1])
+
+    monkeypatch.setattr(evaluation, "optimize", StandIn())
+    return calls
+
+
+def test_train_logreg_passes_the_hessian_up_to_the_parameter_bound(monkeypatch):
+    from core import evaluation
+
+    calls = _recording_optimizer(monkeypatch)
+    x, y = np.random.default_rng(16).standard_normal((120, 75)), np.arange(120) % 4
+    train_logreg(x[:, :74], y)  # 4 * (74 + 1) = 300 parameters
+    train_logreg(x, y)  # 304 parameters: plain L-BFGS
+    assert evaluation.NEWTON_MAX_PARAMS == 300
+    assert [kwargs["hess"] for kwargs, _ in calls] == [evaluation.logreg_hessian, None]
+
+
+@pytest.mark.parametrize("classes, dim", [(8, 3), (8, 2), (20, 12)])
+def test_train_logreg_converges_where_l_bfgs_alone_does_not(monkeypatch, classes, dim):
+    # 1,333 training rows of a narrow recursive sparse-projection step of a 2000x384 corpus, eval-wide's
+    # shape. L-BFGS alone ends the 8-class fits at widths 3 and 2 by a line search that finds no
+    # decrease, with max |grad| 4e-5 and 8e-5 (f is about 2,000 and its last decreases fall below its
+    # rounding), and the 20-class fit at width 12 (260 parameters) at the iteration cap.
+    from core import evaluation, lbfgs
+    from core.compressors import CompressorSpec
+    from core.experiment import make_synthetic_dataset
+    from core.pipeline import compress_recursive, dimension_schedule
+
+    e, labels = make_synthetic_dataset(2000, classes, 32, 384, seed=1)
+    run = compress_recursive(e, CompressorSpec("sparse-projection", seed=1), dimension_schedule(384, 2))
+    x = np.ascontiguousarray(next(step.output for step in run.steps if step.dim == dim)[:1333], dtype=np.float64)
+    y = labels.ids[:1333]
+    calls = _recording_optimizer(monkeypatch)
+    train_logreg(x, y)
+    (kwargs, newton), = calls
+    plain = lbfgs.minimize(logreg_loss_and_grad, np.zeros(classes * (dim + 1)), **dict(kwargs, hess=None))
+    assert not plain.success
+    assert newton.success and newton.nit <= evaluation.MAX_ITER // 10
+    assert np.abs(logreg_loss_and_grad(newton.x, x, y, classes, 1.0)[1]).max() <= GRAD_TOL
+    assert newton.fun == logreg_loss_and_grad(newton.x, x, y, classes, 1.0)[0] <= plain.fun
+
+
+def test_newton_steps_accept_a_rise_of_f_within_its_rounding(monkeypatch):
+    # Width 2 of a direct sparse projection of a 2000x384 corpus stored in f32, training on folds 0 and 1
+    # of 3. Near the optimum f is about 2,184, and the Newton step that lowers max |grad| towards
+    # GRAD_TOL raises f by one unit in its last place (2e-16 of it): no step length lowers f there.
+    from core import lbfgs
+    from core.compressors import CompressorSpec
+    from core.experiment import make_synthetic_dataset
+    from core.pipeline import compress_direct, dimension_schedule
+
+    e, labels = make_synthetic_dataset(2000, 8, 32, 384, seed=2)
+    train = stratified_kfold(labels, 3, seed=2) != 2
+    run = compress_direct(e.astype(np.float32).astype(np.float64), CompressorSpec("sparse-projection", seed=1),
+                          dimension_schedule(384, 2))
+    x = next(step.output for step in run.steps if step.dim == 2)[train]
+    model = train_logreg(x, labels.ids[train])
+    theta = np.concatenate([model.weights.ravel(), model.intercepts])
+    assert np.abs(logreg_loss_and_grad(theta, np.ascontiguousarray(x), labels.ids[train], 8, 1.0)[1]).max() <= GRAD_TOL
+    monkeypatch.setattr(lbfgs, "F_ROUNDING", 0.0)
+    with pytest.raises(EvaluationError, match="did not converge at width 2"):
+        train_logreg(x, labels.ids[train])
+
+
+def test_train_logreg_raises_on_an_unconverged_fit(monkeypatch):
+    _recording_optimizer(monkeypatch, replace=lambda result: result._replace(success=False))
+    x, labels = gaussian_blobs(15, [(-2.0, 0.0, 1.0), (2.0, 1.0, 0.0), (0.0, 3.0, -1.0)], 1.2, seed=12)
+    with pytest.raises(EvaluationError, match=r"^logistic regression did not converge at width 3: "
+                                              r"\d+ iterations, max \|grad\| \S+$"):
+        train_logreg(x, labels.ids)

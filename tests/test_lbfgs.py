@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 from core import lbfgs
-from core.evaluation import GRAD_TOL, MAX_ITER, logreg_loss_and_grad
+from core.evaluation import GRAD_TOL, MAX_ITER, NEWTON_MAX_PARAMS, logreg_hessian, logreg_loss_and_grad
 from core.experiment import make_synthetic_dataset
 
 GRID = [(k, dim) for k in (2, 3, 8) for dim in (1, 6, 64)]
@@ -21,9 +21,9 @@ def multinomial(k: int, dim: int, n: int, seed: int):
     return x, np.array([rng.choice(k, p=row) for row in p])
 
 
-def fit(x, y, k, c=1.0, maxiter=MAX_ITER):
+def fit(x, y, k, c=1.0, maxiter=MAX_ITER, hess=None):
     return lbfgs.minimize(logreg_loss_and_grad, np.zeros(k * x.shape[1] + k), args=(x, y, k, c), maxiter=maxiter,
-                           gtol=GRAD_TOL)
+                           gtol=GRAD_TOL, hess=hess)
 
 
 def predictions(theta, x, k):
@@ -145,3 +145,67 @@ def test_a_nan_gradient_never_reads_as_converged():
     result = lbfgs.minimize(lambda x: (float(x @ x), np.full_like(x, np.nan)), np.ones(3), maxiter=10, gtol=1e-5)
     assert not result.success
     assert result.nit == 0
+
+
+@pytest.mark.parametrize("k, dim", GRID)
+def test_logreg_hessian_matches_differences_of_the_gradient(k, dim):
+    x, y = multinomial(k, dim, 300, seed=k + dim)
+    theta = np.random.default_rng(k * dim).standard_normal(k * dim + k) * 0.1
+    hessian = logreg_hessian(theta, x, y, k, 1.0)
+    hessian[k * dim:, k * dim:] -= 300 / k  # the curvature added along the intercepts' null direction
+    h, numeric = 1e-5, np.empty_like(hessian)
+    for j in range(theta.size):
+        step = np.zeros_like(theta)
+        step[j] = h
+        numeric[:, j] = (logreg_loss_and_grad(theta + step, x, y, k, 1.0)[1]
+                         - logreg_loss_and_grad(theta - step, x, y, k, 1.0)[1]) / (2 * h)
+    assert np.abs(hessian - numeric).max() <= 1e-8 * np.abs(numeric).max()
+    np.testing.assert_allclose(hessian, hessian.T, rtol=0, atol=1e-12 * np.abs(hessian).max())
+
+
+@pytest.mark.parametrize("k, dim", GRID)
+def test_logreg_hessian_curves_the_null_direction_by_n(k, dim):
+    # b + t * 1 leaves every softmax, hence the loss, unchanged: along (0, 1_K) the data term is 0, and
+    # the added (n / K) 1 1^T gives H (0, 1_K) = n (0, 1_K).
+    x, y = multinomial(k, dim, 300, seed=k + dim)
+    theta = np.random.default_rng(k * dim).standard_normal(k * dim + k) * 0.1
+    null = np.concatenate([np.zeros(k * dim), np.ones(k)])
+    hessian = logreg_hessian(theta, x, y, k, 1.0)
+    np.testing.assert_allclose(hessian @ null, 300 * null, rtol=0, atol=1e-10 * np.abs(hessian).max())
+
+
+@pytest.mark.parametrize("k, dim", [(k, dim) for k, dim in GRID if k * (dim + 1) <= NEWTON_MAX_PARAMS])
+def test_newton_finish_reaches_the_loss_and_predictions_of_l_bfgs(k, dim):
+    x, y = multinomial(k, dim, 500, seed=10 * k + dim)
+    train, held_out = slice(0, 300), slice(300, None)
+    plain, newton = fit(x[train], y[train], k), fit(x[train], y[train], k, hess=logreg_hessian)
+    assert plain.success and newton.success
+    # Never above L-BFGS's loss; at 64 columns L-BFGS stops at gtol up to 1e-11 above the optimum.
+    assert newton.fun <= plain.fun + 1e-12 * abs(plain.fun)
+    assert plain.fun - newton.fun <= (1e-12 if dim < 64 else 1e-11) * abs(plain.fun)
+    np.testing.assert_array_equal(predictions(newton.x, x[held_out], k), predictions(plain.x, x[held_out], k))
+    if plain.nit <= lbfgs.NEWTON_AFTER:  # converged before the switch: the same run, bit for bit
+        assert newton.x.tobytes() == plain.x.tobytes() and newton.nfev == plain.nfev
+
+
+def test_newton_converges_where_l_bfgs_stops_at_the_cap():
+    e, labels = make_synthetic_dataset(150, 8, 6, 6, seed=0, separation=4.0)
+    plain, newton = fit(e, labels.ids, 8, c=1e3), fit(e, labels.ids, 8, c=1e3, hess=logreg_hessian)
+    assert (plain.nit, plain.success) == (MAX_ITER, False)
+    assert newton.success and newton.nit <= lbfgs.NEWTON_AFTER + 20
+    assert np.abs(logreg_loss_and_grad(newton.x, e, labels.ids, 8, 1e3)[1]).max() <= GRAD_TOL
+    assert newton.fun == logreg_loss_and_grad(newton.x, e, labels.ids, 8, 1e3)[0] < plain.fun
+    # Newton steps count in nit, and maxiter bounds L-BFGS and Newton steps together.
+    capped = fit(e, labels.ids, 8, c=1e3, maxiter=lbfgs.NEWTON_AFTER + 1, hess=logreg_hessian)
+    assert (capped.nit, capped.success) == (lbfgs.NEWTON_AFTER + 1, False)
+    assert capped.fun == logreg_loss_and_grad(capped.x, e, labels.ids, 8, 1e3)[0]
+
+
+def test_newton_without_an_acceptable_step_ends_unconverged():
+    # A Hessian of the wrong sign points uphill: f rises and so does max |grad| at every trial step.
+    fun, x0, args = _quadratic(20)
+    result = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=1e-12,
+                            hess=lambda x: -np.eye(x.size))
+    assert not result.success
+    assert result.nit < MAX_ITER
+    assert result.fun == fun(result.x)[0]
