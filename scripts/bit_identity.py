@@ -9,7 +9,8 @@ modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
 ``svd-exact``, ``cluster-mean`` and ``neural-small`` in both modes, so that a change of repeat order or
 fold plan shows; ``run`` of ``sparse-projection`` in both modes at ``repeats`` 2 on a 2000x384 dataset
 of 8 classes, whose 3-fold training sets of 1,333 rows make the narrow steps' classifier fits
-ill-conditioned, so that a change of the classifier solver that moves a prediction shows; ``stats`` and
+ill-conditioned, so that a change of the classifier solver that moves a prediction shows, and
+``compress`` of that dataset with the same spec (recursive, kappa 2); ``stats`` and
 ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus seventeen commands that
@@ -21,6 +22,12 @@ fewer documents than the first step's dimension, a binary input of 0 rows, a CSV
 input with a ragged row, an unparseable token or a ``nan``, an autoencoder whose
 training diverges, and a spec whose ``tol`` is ``NaN``. The exit code, stdout and stderr of each command are compared
 too (``log.txt``), so every failure message is compared byte for byte.
+
+After the commands, ``core.evaluation.train_logreg`` is fitted on the first 1,333 rows of each of
+the 8 step files of that ``compress``, with the wide dataset's labels, and each model's weights and
+intercepts are written under ``weights/`` with ``np.save`` (the message, for a fit that raises
+``EvaluationError``). So a change of the classifier solver that moves fitted weights shows even
+where it flips no prediction.
 
 A second flow, logged to ``log_reps.txt``, covers a results file with two
 representations: ``synth`` of two 16-column ``bert`` and two 8-column
@@ -84,6 +91,8 @@ DATASETS = (("a", 80, 3, 4, 1), ("b", 64, 2, 3, 2), ("c", 72, 4, 4, 3))
 DIM = 32
 # (name, docs, classes, rank, dim, seed) of the wide dataset: eval-wide's shape, down to width 2.
 WIDE = ("wide", 2000, 8, 32, 384, 1)
+# Training rows of each weights/ fit: those of a 3-fold training set of the wide dataset.
+WIDE_TRAIN_ROWS = 1333
 # (name, representation, dim, seed) of the two-representation flow; an 8-column dataset has 2 steps.
 REP_DATASETS = (("p", "bert", 16, 5), ("q", "bert", 16, 6), ("r", "doc2vec", 8, 7), ("s", "doc2vec", 8, 8))
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -115,6 +124,8 @@ def flow_commands() -> list[list[str]]:
     cmds.append(["synth", "--docs", str(docs), "--classes", str(classes), "--rank", str(rank), "--dim", str(dim),
                  "--seed", str(seed), "--out", "wide", "--name", name])
     cmds.append(["run", "--config", "cfg-wide.json", "--out", "results_wide"])
+    cmds.append(["compress", "--input", "wide/wide.core", "--spec", "specs/sparse-projection.json", "--mode", "rec",
+                 "--kappa", "2", "--out", "compress/wide"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],
@@ -171,6 +182,27 @@ def representation_commands() -> list[list[str]]:
     return cmds
 
 
+def write_weights() -> None:
+    """Fit the classifier on each step of ``compress/wide`` and write its weights under ``weights/``."""
+    import numpy as np
+
+    from core.evaluation import EvaluationError, train_logreg
+    from core.io import load_embeddings, load_labels
+
+    Path("weights").mkdir()
+    y = load_labels("wide/wide.labels").ids[:WIDE_TRAIN_ROWS]
+    for path in sorted(Path("compress/wide").glob("step_*.core")):
+        x = load_embeddings(path)[:WIDE_TRAIN_ROWS]
+        name = f"weights/{path.stem}_d{x.shape[1]}"
+        try:
+            model = train_logreg(x, y)
+        except EvaluationError as exc:
+            Path(f"{name}_error.txt").write_text(f"{exc}\n")
+            continue
+        np.save(f"{name}_weights.npy", model.weights)
+        np.save(f"{name}_intercepts.npy", model.intercepts)
+
+
 def run_flow(out: Path) -> None:
     """Write the flow's inputs into ``out`` and run every command there (in this process)."""
     from core.cli import main
@@ -222,6 +254,7 @@ def run_flow(out: Path) -> None:
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main(cmd)
                 log.write(f"$ core {' '.join(cmd)}\nexit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+    write_weights()
 
 
 def _normalized(path: Path, root: Path) -> bytes:

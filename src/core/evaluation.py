@@ -168,8 +168,6 @@ def train_logreg(x: np.ndarray, labels: np.ndarray, c: float = DEFAULT_C) -> Cla
     hess = logreg_hessian if theta0.size <= NEWTON_MAX_PARAMS else None
     result = optimize.minimize(logreg_loss_and_grad, theta0, args=(x, y, n_classes, c), maxiter=MAX_ITER,
                                gtol=GRAD_TOL, scale=1.0 / np.sqrt(diag), hess=hess)
-    if not np.isfinite(result.fun):
-        raise EvaluationError("logistic regression loss became non-finite")
     if not result.success:
         grad = logreg_loss_and_grad(result.x, x, y, n_classes, c)[1]
         raise EvaluationError(f"logistic regression did not converge at width {x.shape[1]}: "

@@ -209,3 +209,65 @@ def test_newton_without_an_acceptable_step_ends_unconverged():
     assert not result.success
     assert result.nit < MAX_ITER
     assert result.fun == fun(result.x)[0]
+
+
+@pytest.mark.parametrize("problem", [lambda: _quadratic(50), _logreg], ids=["quadratic", "logreg"])
+def test_a_stalled_line_search_goes_on_with_newton_steps(problem, monkeypatch):
+    # No switch by count: only the stall at gtol 1e-12 can start the Newton phase.
+    monkeypatch.setattr(lbfgs, "NEWTON_AFTER", MAX_ITER + 1)
+    fun, x0, args = problem()
+    if args:
+        hess = logreg_hessian
+    else:  # the quadratic's matrix, column by column from its gradients
+        a = np.column_stack([fun(e)[1] - fun(x0)[1] for e in np.eye(x0.size)])
+        hess = lambda x: a  # noqa: E731
+    stalled = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=1e-12)
+    newton = lbfgs.minimize(fun, x0, args=args, maxiter=MAX_ITER, gtol=1e-12, hess=hess)
+    assert not stalled.success and stalled.nit < MAX_ITER
+    # The stalled line search's trials are spent, then one Newton step reaches gtol.
+    assert newton.success
+    assert (newton.nit, newton.nfev) == (stalled.nit + 1, stalled.nfev + 1)
+    assert np.abs(fun(newton.x, *args)[1]).max() <= 1e-12
+
+
+def test_a_newton_phase_from_iteration_0_takes_the_full_step_first(monkeypatch):
+    monkeypatch.setattr(lbfgs, "NEWTON_AFTER", 0)
+    e, labels = make_synthetic_dataset(150, 8, 6, 6, seed=0, separation=4.0)
+    args, x0 = (e, labels.ids, 8, 1e3), np.zeros(8 * 6 + 8)
+    first = lbfgs.minimize(logreg_loss_and_grad, x0, args=args, maxiter=1, gtol=GRAD_TOL, hess=logreg_hessian)
+    full_step = x0 + np.linalg.solve(logreg_hessian(x0, *args), -logreg_loss_and_grad(x0, *args)[1])
+    assert (first.nit, first.nfev) == (1, 2)
+    np.testing.assert_allclose(first.x, full_step, rtol=0, atol=1e-12 * np.abs(full_step).max())
+    # t = 1 is taken at every iteration of this run: one loss evaluation per Newton step.
+    full = lbfgs.minimize(logreg_loss_and_grad, x0, args=args, maxiter=MAX_ITER, gtol=GRAD_TOL, hess=logreg_hessian)
+    assert full.success and full.nfev == full.nit + 1
+
+
+def _boxed_quadratic():
+    # 0.5 x.Ax - b.x with its optimum A^-1 b outside |x_i| <= 1; outside that box f is NaN where some
+    # x_i > 1 and +inf where some x_i < -1, while the gradient stays the quadratic's.
+    rng = np.random.default_rng(6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    a = (q * np.logspace(0, 1, 6)) @ q.T
+    b = a @ np.array([3.0, -3.0, 2.0, -2.0, 0.5, 0.0])
+
+    def fun(x):
+        f = float(0.5 * x @ a @ x - b @ x)
+        if np.any(x > 1):
+            f = np.nan
+        elif np.any(x < -1):
+            f = np.inf
+        return f, a @ x - b
+
+    return fun
+
+
+@pytest.mark.parametrize("newton_after", [30, 0])
+@pytest.mark.parametrize("hess", [None, lambda x: np.eye(x.size)], ids=["l-bfgs", "identity-hessian"])
+def test_no_nan_or_inf_trial_point_is_taken(newton_after, hess, monkeypatch):
+    monkeypatch.setattr(lbfgs, "NEWTON_AFTER", newton_after)
+    fun = _boxed_quadratic()
+    result = lbfgs.minimize(fun, np.zeros(6), maxiter=MAX_ITER, gtol=GRAD_TOL, hess=hess)
+    assert not result.success  # the box holds no stationary point
+    assert np.isfinite(result.fun) and result.fun == fun(result.x)[0]
+    assert np.abs(result.x).max() <= 1
