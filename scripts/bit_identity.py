@@ -10,7 +10,11 @@ modes at ``--threads`` 1 and 2, with the modes in the order direct, recursive at
 fold plan shows; ``run`` of ``sparse-projection`` in both modes at ``repeats`` 2 on a 2000x384 dataset
 of 8 classes, whose 3-fold training sets of 1,333 rows make the narrow steps' classifier fits
 ill-conditioned, so that a change of the classifier solver that moves a prediction shows, and
-``compress`` of that dataset with the same spec (recursive, kappa 2); ``stats`` and
+``compress`` of that dataset with the same spec (recursive, kappa 2); ``run`` of ``random-subspace``
+on an 800x128 dataset of 8 classes whose rows share a mean direction (``make_synthetic_dataset`` at
+separation 1.0 plus ``3 * sqrt(128)`` times one unit vector, a mean cosine between rows of about 0.86,
+as contextual embeddings have), written by this script, so that a change to how the classifier fits
+such a corpus shows (today its baseline fit stops unconverged and the run writes no record); ``stats`` and
 ``report`` at alpha 0.05 and 0.1;
 ``evaluate``; and ``compress --save-states`` for every kind in both modes at
 kappa 2 and 4, ``compress --seed 7`` in both modes, plus seventeen commands that
@@ -93,6 +97,10 @@ DIM = 32
 WIDE = ("wide", 2000, 8, 32, 384, 1)
 # Training rows of each weights/ fit: those of a 3-fold training set of the wide dataset.
 WIDE_TRAIN_ROWS = 1333
+# (name, docs, classes, rank, dim, seed) of the shifted dataset, made at separation 1.0; every row is
+# then moved by SHIFT * sqrt(dim) along one unit vector drawn from default_rng(SHIFT_SEED).
+SHIFTED = ("shifted", 800, 8, 32, 128, 3)
+SHIFT, SHIFT_SEED = 3.0, 11
 # (name, representation, dim, seed) of the two-representation flow; an 8-column dataset has 2 steps.
 REP_DATASETS = (("p", "bert", 16, 5), ("q", "bert", 16, 6), ("r", "doc2vec", 8, 7), ("s", "doc2vec", 8, 8))
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -126,6 +134,7 @@ def flow_commands() -> list[list[str]]:
     cmds.append(["run", "--config", "cfg-wide.json", "--out", "results_wide"])
     cmds.append(["compress", "--input", "wide/wide.core", "--spec", "specs/sparse-projection.json", "--mode", "rec",
                  "--kappa", "2", "--out", "compress/wide"])
+    cmds.append(["run", "--config", "cfg-shifted.json", "--out", "results_shifted"])
     cmds += [
         ["stats", "--records", "results_t1/results.json", "--step", "2"],
         ["report", "--records", "results_t1/results.json", "--out", "report", "--step", "2"],
@@ -203,6 +212,24 @@ def write_weights() -> None:
         np.save(f"{name}_intercepts.npy", model.intercepts)
 
 
+def write_shifted() -> None:
+    """Write the ``SHIFTED`` dataset, its labels and its manifest under ``shifted/``, with this script's
+    own CORE writer, so that the input is the same bytes whatever the tree under test writes."""
+    import numpy as np
+
+    from core.experiment import make_synthetic_dataset
+
+    name, docs, classes, rank, dim, seed = SHIFTED
+    e, labels = make_synthetic_dataset(docs, classes, rank, dim, seed=seed, separation=1.0)
+    v = np.random.default_rng(SHIFT_SEED).standard_normal(dim)
+    e += SHIFT * np.sqrt(dim) * v / np.linalg.norm(v)
+    Path(name).mkdir()
+    Path(name, f"{name}.core").write_bytes(b"CORE" + struct.pack("<II", docs, dim) + e.astype("<f4").tobytes())
+    Path(name, f"{name}.labels").write_text("".join(f"{labels.names[i]}\n" for i in labels.ids))
+    Path(name, "manifest.json").write_text(json.dumps([{"name": name, "embeddings": f"{name}.core",
+                                                        "labels": f"{name}.labels", "representation": "synthetic"}]))
+
+
 def run_flow(out: Path) -> None:
     """Write the flow's inputs into ``out`` and run every command there (in this process)."""
     from core.cli import main
@@ -239,6 +266,9 @@ def run_flow(out: Path) -> None:
         _spec(kind, KINDS.index(kind) + 1) for kind in REPEAT_KINDS])))
     Path("cfg-wide.json").write_text(json.dumps(dict(cfg, manifest="wide/manifest.json", folds=3, repeats=2,
                                                      specs=[_spec("sparse-projection", 1)])))
+    write_shifted()
+    Path("cfg-shifted.json").write_text(json.dumps(dict(cfg, manifest="shifted/manifest.json", folds=3, repeats=1,
+                                                        specs=[_spec("random-subspace", 1)])))
     Path("bad", "nan-tol.json").write_text(json.dumps({"kind": "cluster-mean", "params": {"tol": float("nan")}}))
     Path("bad", "nan-margin-cfg.json").write_text(json.dumps(dict(cfg, margin=float("nan"), out_dir="results-nan")))
     # The synthesized files with their representations: ``synth`` names every dataset "synthetic".

@@ -210,6 +210,11 @@ def scored_record(dataset: str, representation: str, compressor: str, mode: str,
                             epsilon_f1(res.mean_f1, baseline_mean), repeats, extra)
 
 
+def score_fold(e: np.ndarray, y: np.ndarray, test: np.ndarray) -> float:
+    """Micro-F1 on the rows ``test`` (a boolean mask) of a classifier fitted on the other rows."""
+    return micro_f1(predict(train_logreg(e[~test], y[~test]), e[test]), y[test])
+
+
 def evaluate_matrices(
     matrices: list[np.ndarray],
     labels: Labels,
@@ -231,9 +236,7 @@ def evaluate_matrices(
         if e.shape[0] != len(labels):
             raise EvaluationError(f"repeat {r}: {e.shape[0]} rows but {len(labels)} labels")
         for f in range(k):
-            test = fold_of == f
-            model = train_logreg(e[~test], labels.ids[~test])
-            scores.append((r, f, micro_f1(predict(model, e[test]), labels.ids[test])))
+            scores.append((r, f, score_fold(e, labels.ids, fold_of == f)))
     return EvalResult.of(scores)
 
 

@@ -146,8 +146,8 @@ def _record(cfg: ExperimentConfig, ds: _Dataset, compressor: str, mode: str, ste
 
 
 def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str, shared=None):
-    """The records and step 1 (each repeat's ``StepResult``, their ``EvalResult``) of one
-    (dataset, spec, mode) task, which reuses ``shared``, another mode's step 1, if given.
+    """The records and step 1 (each repeat's ``StepResult``, step 1's (repeat, fold, score) list)
+    of one (dataset, spec, mode) task, which reuses ``shared``, another mode's step 1, if given.
     Each step of each repeat is scored on that repeat's folds as soon as it is made, and
     only its fold scores are kept. ``task_timeout`` counts from the task's start and is
     checked after each compression step, before its scoring."""
@@ -157,8 +157,8 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str, s
     compress = compress_recursive if mode == "recursive" else compress_direct
     task_seed = mix64(mix64(cfg.seed, ds.index), spec_index)
     repeat_seeds = [mix64(task_seed, r) for r in range(cfg.repeats)]
-    firsts = shared[0] if shared else [None] * cfg.repeats
-    scores = {i: [] for i in range(1, schedule.steps + 1)}  # (repeat, fold, score) of each step
+    firsts, step_1_scores = shared or ([None] * cfg.repeats, [])
+    scores = {1: step_1_scores} | {i: [] for i in range(2, schedule.steps + 1)}  # (repeat, fold, score)
     step_1_outputs = []
 
     def on_step(r, i, out):
@@ -172,10 +172,9 @@ def _run_task(cfg: ExperimentConfig, ds: _Dataset, spec_index: int, mode: str, s
     runs = [compress(ds.matrix, spec.with_seed(s), schedule, retain=False,
                      on_step=lambda i, _dim, out, _fc, r=r: on_step(r, i, out), first=f)
             for r, (s, f) in enumerate(zip(repeat_seeds, firsts))]
-    results = [shared[1] if shared and i == 1 else EvalResult.of(scores[i]) for i in scores]
-    records = [_record(cfg, ds, spec.kind, mode, i, dim, res, compressor_seeds=repeat_seeds)
-               for i, (dim, res) in enumerate(zip(schedule.dims, results), start=1)]
-    return records, ([replace(run.steps[0], output=out) for run, out in zip(runs, step_1_outputs)], results[0])
+    records = [_record(cfg, ds, spec.kind, mode, i, dim, EvalResult.of(scores[i]), compressor_seeds=repeat_seeds)
+               for i, dim in enumerate(schedule.dims, start=1)]
+    return records, ([replace(run.steps[0], output=out) for run, out in zip(runs, step_1_outputs)], scores[1])
 
 
 def _run_spec(cfg: ExperimentConfig, ds: _Dataset, spec_index: int):

@@ -74,12 +74,6 @@ class StepResult:
 class CompressionRun:
     steps: list[StepResult]
 
-    def outputs(self) -> list[np.ndarray]:
-        out = [s.output for s in self.steps]
-        if any(o is None for o in out):
-            raise CoreError("run did not retain step outputs")
-        return out  # type: ignore[return-value]
-
 
 def _run(
     e0: np.ndarray,
@@ -98,7 +92,6 @@ def _run(
     prepared = None
     for i, dim in enumerate(schedule.dims, start=1):
         step_seed = mix64(spec.seed, i)
-        source = current if mode == "recursive" else e0
         if i == 1 and first is not None:
             steps.append(first)
             out, fc = first.output, None
@@ -108,8 +101,8 @@ def _run(
                 if mode == "direct" and prepared is None:
                     # Every direct step fits on e0: what they share is prepared once, in the first fitted step.
                     prepared = prepare(spec, e0)
-                fc = fit(spec.with_seed(step_seed), source, dim, prepared)
-                out = transform(fc, source)
+                fc = fit(spec.with_seed(step_seed), current, dim, prepared)
+                out = transform(fc, current)
             except CoreError as exc:
                 raise CompressionStepError(f"step {i}: {exc}") from exc
             steps.append(StepResult(step=i, dim=dim, seed=step_seed, seconds=time.perf_counter() - start,

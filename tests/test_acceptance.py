@@ -181,7 +181,7 @@ def synthetic_sweep():
             ]
             eps = []
             for i in range(schedule.steps):
-                mats = [run.outputs()[i] for run in runs]
+                mats = [run.steps[i].output for run in runs]
                 res = evaluate_matrices(mats, labels, 3, seed=seed)
                 eps.append(epsilon_f1(res.mean_f1, base.mean_f1))
             per_kind[kind] = eps

@@ -7,9 +7,11 @@ from core.evaluation import (
     epsilon_f1,
     evaluate_matrices,
     evaluate_representation,
+    fold_plan,
     logreg_loss_and_grad,
     micro_f1,
     predict,
+    score_fold,
     stratified_kfold,
     train_logreg,
 )
@@ -225,6 +227,31 @@ def test_evaluate_matrices_per_repeat():
     assert len(res.per_fold) == 9
     single = evaluate_representation(x, labels, k=3, repeats=3, seed=2)
     assert res.per_fold == single.per_fold
+
+
+def test_evaluate_matrices_scores_each_fold_with_score_fold():
+    x, labels = gaussian_blobs(12, [(-1.0, 0.0, 0.5), (1.0, 0.0, -0.5), (0.0, 1.0, 0.0)], 1.0, seed=17)
+    matrices = [x, x[:, ::-1] * 2.0]
+    plan = fold_plan(labels, 3, 5, 2)
+    res = evaluate_matrices(matrices, labels, k=3, seed=5, plan=plan)
+    assert res.per_fold == tuple((r, f, score_fold(e, labels.ids, plan[r] == f))
+                                 for r, e in enumerate(matrices) for f in range(3))
+
+
+def test_score_fold_scores_a_matrix_made_inside_the_fold():
+    # An in-fold matrix: the training rows and the test rows are each transformed by a compressor
+    # fitted on the training rows alone.
+    from core.compressors import CompressorSpec, fit, transform
+
+    x, labels = gaussian_blobs(15, [(-2.0, 0.0, 1.0, 0.0), (2.0, 0.0, -1.0, 0.0), (0.0, 2.0, 0.0, 1.0)], 1.0, seed=5)
+    test = stratified_kfold(labels, 3, seed=4) == 1
+    fc = fit(CompressorSpec("svd-exact"), x[~test], 2)
+    e = np.empty((len(x), 2))
+    e[~test], e[test] = transform(fc, x[~test]), transform(fc, x[test])
+    before = e.copy()
+    model = train_logreg(e[~test], labels.ids[~test])
+    assert score_fold(e, labels.ids, test) == micro_f1(predict(model, e[test]), labels.ids[test])
+    assert e.tobytes() == before.tobytes()
 
 
 def reference_loss_and_grad(theta, x, y, n_classes, c):

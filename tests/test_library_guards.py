@@ -29,8 +29,6 @@ GUARDS = {
                                 "repeat 0: 10 rows but 12 labels"),
     "save-1d-matrix": (lambda tmp: save_matrix(np.zeros(3), tmp / "m.core"), MatrixFormatError,
                        "matrix must be 2-D with at least one row and column, got shape (3,)"),
-    "outputs-not-retained": (lambda _: compress_recursive(E, SPEC, dimension_schedule(16, 2), retain=False).outputs(),
-                             CoreError, "run did not retain step outputs"),
     "columns-vs-d0": (lambda _: compress_recursive(E[:, :8], SPEC, dimension_schedule(16, 2)), ScheduleError,
                       "matrix has 8 columns but schedule starts at d0=16"),
     "cost-k-zero": (lambda _: estimate_cost(16, 2, 0), ScheduleError, "k must be in [1, 3] for d0=16, kappa=2, got 0"),
